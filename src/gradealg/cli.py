@@ -37,11 +37,15 @@ from .rees_cohomology import (
     decide_cm_rees,
     decide_gencm,
     dim_rees,
+    window_table,
 )
 from .schemas import validate_input, validate_output
-from .simplicial import SimplicialComplex, local_cohomology_window, sr_invariants
-
-DEFAULT_WINDOW = (-10, 2)
+from .simplicial import (
+    DEFAULT_WINDOW,
+    SimplicialComplex,
+    local_cohomology_window,
+    sr_invariants,
+)
 
 
 def _normalize_field_label(text: str) -> str:
@@ -134,14 +138,9 @@ def _require_sr_window(window: tuple) -> tuple:
     return lo, hi
 
 
-def _window_entries(window_obj, lo: int, hi: int) -> list:
-    rows = []
-    for i in window_obj.indices():
-        for j in range(lo, hi + 1):
-            v = window_obj.dim_at(i, j)
-            if v:
-                rows.append([i, j, v])
-    return rows
+def _window_entries(table: dict) -> list:
+    """``window_table`` output flattened to ``[index, degree, dim]`` rows."""
+    return [[i, j, v] for i, row in table.items() for j, v in row.items()]
 
 
 def _flag_rows(window_obj) -> list:
@@ -306,13 +305,14 @@ def _cmd_cohomology(spec: dict, args) -> int:
         dim_r = dim_rees(complex, data.b)
         adic = adic_a_invariant(complex, data.b, field)
         cm_r = decide_cm_rees(data, field).cm_rees
+    table = window_table(window, lo, hi)
     report = {
         "command": "cohomology",
         "field": field.name,
         "variables": list(ring.variables),
         "module": args.module,
         "window": [lo, hi],
-        "entries": _window_entries(window, lo, hi),
+        "entries": _window_entries(table),
         "flags": _flag_rows(window),
         "invariants": invariants,
         "dim_R": dim_r,
@@ -321,13 +321,9 @@ def _cmd_cohomology(spec: dict, args) -> int:
     }
     _emit("cohomology", report, args)
     print(f"module {args.module}, window [{lo}, {hi}]")
-    for i in window.indices():
-        row = [
-            f"{j} -> {window.dim_at(i, j)}"
-            for j in range(lo, hi + 1)
-            if window.dim_at(i, j)
-        ]
-        print(f"H^{i}:", "; ".join(row) if row else "0 on window")
+    for i, row in table.items():
+        cells = [f"{j} -> {v}" for j, v in row.items()]
+        print(f"H^{i}:", "; ".join(cells) if cells else "0 on window")
     if args.module == "A":
         print(
             "dim_A = {dim_A}, depth_A = {depth_A}, a_invariant = {a_invariant}, "
@@ -361,8 +357,8 @@ def _cmd_gencm(spec: dict, args) -> int:
         "evidence": dict(verdict.evidence),
         "windows": {
             "window": [lo, hi],
-            "A": _window_entries(window_a, lo, hi),
-            "R": _window_entries(window_r, lo, hi),
+            "A": _window_entries(window_table(window_a, lo, hi)),
+            "R": _window_entries(window_table(window_r, lo, hi)),
         },
     }
     _emit("gencm", report, args)

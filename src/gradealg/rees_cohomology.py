@@ -43,15 +43,13 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 from .simplicial import (
+    DEFAULT_WINDOW,
     CohomologyWindow,
     IndexFlags,
     SimplicialComplex,
     local_cohomology_window,
     sr_invariants,
 )
-
-WINDOW_LO = -10
-WINDOW_HI = 2
 
 
 def restrict_complex(complex: SimplicialComplex, vertices: Iterable[int]) -> SimplicialComplex:
@@ -170,8 +168,8 @@ class TensorWindow:
 def assemble_rees_cohomology(
     data: SplitSRData,
     field,
-    lo: int = WINDOW_LO,
-    hi: int = WINDOW_HI,
+    lo: int = DEFAULT_WINDOW[0],
+    hi: int = DEFAULT_WINDOW[1],
 ) -> TensorWindow:
     """Window of H(R) for R = R(A1; m1) (x) A2 in the internal grading."""
     w1 = local_cohomology_window(data.factor_b, field, lo, hi)

@@ -7,10 +7,12 @@ reduced homology of face links: a face s with link homology rank r in
     r * C(-j-1, |s|-1)   to dimension at every internal degree j <= -|s|,
 
 while the empty face contributes its rank at degree 0 only. Homology ranks
-are computed from boundary matrices by Gaussian elimination over the exact
-coefficient field, so everything downstream of this module is exact as well:
-a window object can answer dimension queries at any degree, not just inside
-the stored band, because the per-index contribution profile is finite data.
+come from sparse elimination on the boundary matrices, on ints mod p over
+GF(p) and fraction-free over the integers for Q, so everything downstream
+of this module is exact as well. The per-index contribution profile does
+not depend on any degree window: it is computed once per (complex, field),
+and a window object is a rendering of it that answers dimension queries
+at any degree, not just inside the stored band.
 
 Vanishing flags fall out of the same profile. A nonempty contributing face
 of size s forces nonzero dimensions at every degree <= -s, and size-1 faces
@@ -22,16 +24,17 @@ empty face contributes".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import LimitExceeded, WindowUnderflow
 from .groebner import Ideal
 
 VERTEX_BOUND = 12
-WINDOW_LO = -10
-WINDOW_HI = 2
+DEFAULT_WINDOW = (-10, 2)
+PROFILE_CACHE_SIZE = 128
 
 
 class SimplicialComplex:
@@ -135,28 +138,46 @@ class SimplicialComplex:
         return f"SimplicialComplex[{body}]"
 
 
-def _field_rank(rows: list, field) -> int:
-    """Rank of a dense matrix (list of row lists) over an exact field."""
-    if not rows or not rows[0]:
-        return 0
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.one / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+def _rank(rows: Iterable[dict], p: int) -> int:
+    """Rank of a sparse integer matrix over GF(p), or over Q when p == 0.
+
+    Rows are ``{column: int}`` dicts. Each row is reduced against pivot
+    rows, kept by leading column, until it vanishes or becomes a new
+    pivot. Over GF(p) entries are ints mod p and pivots lead with 1. Over
+    Q elimination is fraction-free: ``row = b*row - a*pivot`` with ``b``
+    the pivot's leading entry, then the row is divided by the gcd of its
+    entries. A row is only ever scaled by nonzero integers, so the row
+    space over Q, and with it the rank, is exact.
+    """
+    pivots: dict = {}
+    for row in rows:
+        row = {c: v % p if p else v for c, v in row.items()}
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                if p:
+                    inv = pow(row[lead], -1, p)
+                    row = {c: v * inv % p for c, v in row.items()}
+                pivots[lead] = row
+                break
+            a, b = row[lead], pivot[lead]
+            if b != 1:
+                row = {c: b * v for c, v in row.items()}
+            for c, v in pivot.items():
+                x = row.get(c, 0) - a * v
+                if p:
+                    x %= p
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+            if not p and row:
+                g = gcd(*row.values())
+                if g != 1:
+                    row = {c: v // g for c, v in row.items()}
+    return len(pivots)
 
 
 def reduced_homology_ranks(complex: SimplicialComplex, field) -> dict:
@@ -174,16 +195,12 @@ def reduced_homology_ranks(complex: SimplicialComplex, field) -> dict:
 
     boundary_rank: dict = {}
     for i in range(0, top + 1):
-        rows_idx = {f: k for k, f in enumerate(faces_by_dim.get(i - 1, []))}
-        mat = []
-        for f in faces_by_dim.get(i, []):
-            row = [field.zero] * len(rows_idx)
-            for k in range(len(f)):
-                sub = f[:k] + f[k + 1 :]
-                sign = field.one if k % 2 == 0 else -field.one
-                row[rows_idx[sub]] = sign
-            mat.append(row)
-        boundary_rank[i] = _field_rank(mat, field)
+        cols = {f: k for k, f in enumerate(faces_by_dim.get(i - 1, []))}
+        rows = (
+            {cols[f[:k] + f[k + 1 :]]: (-1) ** k for k in range(len(f))}
+            for f in faces_by_dim.get(i, [])
+        )
+        boundary_rank[i] = _rank(rows, field.characteristic)
 
     ranks = {}
     for i in range(-1, top + 1):
@@ -240,16 +257,7 @@ class CohomologyWindow:
 
     def dim_at(self, i: int, j: int) -> int:
         if self.contrib is not None:
-            profile = self.contrib.get(i)
-            if not profile:
-                return 0
-            if j > 0:
-                return 0
-            if j == 0:
-                return profile.get(0, 0)
-            return sum(
-                r * comb(-j - 1, s - 1) for s, r in profile.items() if s >= 1
-            )
+            return _profile_dim(self.contrib.get(i, {}), j)
         if self.lo <= j <= self.hi:
             return self.tables.get(i, {}).get(j, 0)
         flags = self.flag(i)
@@ -265,19 +273,28 @@ class CohomologyWindow:
         return dict(self.tables.get(i, {}))
 
 
-def local_cohomology_window(
-    complex: SimplicialComplex,
-    field,
-    lo: int = WINDOW_LO,
-    hi: int = WINDOW_HI,
-) -> CohomologyWindow:
-    """Graded local cohomology dimensions of the face ring over the window."""
+def _profile_dim(profile: dict, j: int) -> int:
+    """Dimension in degree j of one index, from its contribution profile."""
+    if j > 0:
+        return 0
+    if j == 0:
+        return profile.get(0, 0)
+    return sum(r * comb(-j - 1, s - 1) for s, r in profile.items() if s >= 1)
+
+
+@lru_cache(maxsize=PROFILE_CACHE_SIZE)
+def _profile(complex: SimplicialComplex, field) -> tuple:
+    """The window-independent contribution profile ``(contrib, contrib_faces)``.
+
+    ``contrib[i][s]`` sums the link homology ranks of size-s faces
+    contributing to index i; ``contrib_faces[i]`` lists those faces with
+    their ranks. Cached per (complex, field): callers only read it, and
+    windows copy it.
+    """
     if len(complex.vertices) > VERTEX_BOUND:
         raise LimitExceeded(
             f"{len(complex.vertices)} vertices exceed the bound {VERTEX_BOUND}"
         )
-    d = complex.dim + 1  # ring dimension, top cohomological index
-
     contrib: dict = {}
     contrib_faces: dict = {}
     for s in sorted(complex.faces(), key=lambda f: (len(f), sorted(f))):
@@ -289,21 +306,26 @@ def local_cohomology_window(
             contrib.setdefault(i, {})
             contrib[i][len(s)] = contrib[i].get(len(s), 0) + rank
             contrib_faces.setdefault(i, []).append((s, rank))
+    return contrib, contrib_faces
 
+
+def local_cohomology_window(
+    complex: SimplicialComplex,
+    field,
+    lo: int = DEFAULT_WINDOW[0],
+    hi: int = DEFAULT_WINDOW[1],
+) -> CohomologyWindow:
+    """Graded local cohomology dimensions of the face ring over the window,
+    rendered from the cached contribution profile."""
+    contrib, contrib_faces = _profile(complex, field)
+    d = complex.dim + 1  # ring dimension, top cohomological index
     tables: dict = {}
     flags: dict = {}
     for i in range(0, d + 1):
         profile = contrib.get(i, {})
-        table = {}
-        for j in range(lo, hi + 1):
-            v = 0
-            if j == 0:
-                v = profile.get(0, 0)
-            elif j < 0:
-                v = sum(r * comb(-j - 1, s - 1) for s, r in profile.items() if s >= 1)
-            if v:
-                table[j] = v
-        tables[i] = table
+        tables[i] = {
+            j: v for j in range(lo, hi + 1) if (v := _profile_dim(profile, j))
+        }
         only_empty = all(s == 0 for s in profile)
         flags[i] = IndexFlags(
             is_zero=not profile,
@@ -326,18 +348,18 @@ class SRInvariants:
 
 
 def sr_invariants(complex: SimplicialComplex, field) -> SRInvariants:
-    window = local_cohomology_window(complex, field, lo=-1, hi=0)
+    contrib, _ = _profile(complex, field)
     d = complex.dim + 1
-    nonzero = [i for i in window.indices() if not window.flag(i).is_zero]
+    nonzero = [i for i in range(0, d + 1) if contrib.get(i)]
     depth = min(nonzero) if nonzero else d
-    profile_top = (window.contrib or {}).get(d, {})
+    profile_top = contrib.get(d, {})
     if not profile_top:
         a_inv = None
     elif 0 in profile_top:
         a_inv = 0
     else:
         a_inv = -min(s for s in profile_top if s >= 1)
-    gencm = all(window.flag(i).finite_length for i in range(0, d))
+    gencm = all(s == 0 for i in range(0, d) for s in contrib.get(i, {}))
     return SRInvariants(
         dim=d,
         depth=depth,

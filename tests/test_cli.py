@@ -183,3 +183,41 @@ def test_console_script_entry_point(tmp_path):
         text=True,
     )
     assert proc.returncode == 3
+
+
+def _cross_polytope_spec(tmp_path, pairs: int, b_pairs: int) -> Path:
+    """Boundary of the cross-polytope on `pairs` antipodal vertex pairs
+    (x1 x2, x3 x4, ...), with I generated by the first `b_pairs` pairs."""
+    facets = [[1], [2]]
+    for k in range(1, pairs):
+        facets = [f + [2 * k + c] for f in facets for c in (1, 2)]
+    names = [f"x{v}" for v in range(1, 2 * pairs + 1)]
+    spec = {"variables": names, "facets": facets, "I": names[: 2 * b_pairs], "field": "Q"}
+    path = tmp_path / "cross.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv,code,links",
+    [
+        # 81 faces of the complex, 9 of each 4-cycle factor.
+        (["gencm"], 3, 81 + 9 + 9),
+        (["cohomology", "--module", "A"], 0, 81),
+    ],
+)
+def test_each_profile_is_computed_once(tmp_path, monkeypatch, argv, code, links):
+    from gradealg import simplicial
+
+    calls = []
+    original = simplicial.reduced_homology_ranks
+
+    def counting(complex, field):
+        calls.append(complex)
+        return original(complex, field)
+
+    simplicial._profile.cache_clear()
+    monkeypatch.setattr(simplicial, "reduced_homology_ranks", counting)
+    spec = _cross_polytope_spec(tmp_path, pairs=4, b_pairs=2)
+    assert main([*argv, "--input", str(spec)]) == code
+    assert len(calls) == links

@@ -302,3 +302,34 @@ def test_top_minimal_primes():
     assert top_minimal_primes(path) == [(1,), (0,)]
     mixed = SimplicialComplex(range(3), [(0,), (1, 2)])
     assert top_minimal_primes(mixed) == [(0,)]
+
+
+# -- the cached contribution profile ----------------------------------------
+
+def test_profile_cache_is_bounded():
+    from gradealg import simplicial
+
+    assert simplicial._profile.cache_info().maxsize == simplicial.PROFILE_CACHE_SIZE
+    assert isinstance(simplicial.PROFILE_CACHE_SIZE, int)
+
+
+def test_mutating_a_window_leaves_later_windows_alone():
+    from gradealg import simplicial
+
+    simplicial._profile.cache_clear()
+    rp2 = SimplicialComplex(range(6), RP2_FACETS)
+    first = local_cohomology_window(rp2, GF(2), -3, 0)
+    snapshot = (
+        {i: dict(c) for i, c in first.contrib.items()},
+        dict(first.contrib_faces),
+        {i: dict(t) for i, t in first.tables.items()},
+    )
+    first.contrib[3][0] = 99
+    first.contrib[2].clear()
+    first.contrib_faces[2] = ()
+    first.contrib_faces.pop(3)
+    first.tables[3][-1] = 7
+    first.tables[2].clear()
+    second = local_cohomology_window(rp2, GF(2), -3, 0)
+    assert (second.contrib, second.contrib_faces, second.tables) == snapshot
+    assert sr_invariants(rp2, GF(2)).depth == 2
