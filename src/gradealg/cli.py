@@ -13,7 +13,6 @@ import argparse
 import json
 import re
 import sys
-from itertools import combinations
 from pathlib import Path
 
 import jsonschema
@@ -104,13 +103,20 @@ def _complex_from_facets(ring: PolyRing, facets) -> SimplicialComplex:
 
 
 def _minimal_nonface_ideal(ring: PolyRing, complex: SimplicialComplex) -> Ideal:
+    """Monomials of the minimal non-faces, by size, then lexicographically."""
     n = ring.nvars
+    faces = {tuple(sorted(f)) for f in complex.faces()}
     gens = []
     for size in range(1, n + 1):
-        for s in combinations(range(n), size):
-            if complex.has_face(s):
-                continue
-            if all(complex.has_face(s[:k] + s[k + 1 :]) for k in range(size)):
+        # a minimal non-face is a face one vertex smaller plus a later vertex
+        candidates = {
+            f + (v,)
+            for f in faces
+            if len(f) == size - 1
+            for v in range(f[-1] + 1 if f else 0, n)
+        }
+        for s in sorted(candidates):
+            if s not in faces and all(s[:k] + s[k + 1 :] in faces for k in range(size)):
                 exps = [0] * n
                 for i in s:
                     exps[i] = 1

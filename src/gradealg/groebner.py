@@ -8,30 +8,37 @@ monic, sorted with the largest leading monomial first. Input generators are
 canonically sorted before the run, so two runs on shuffled generator lists
 produce identical results.
 
-Reduced bases are cached per (generator set, order) for the lifetime of the
-process; everything the cache holds is immutable.
+Inside a run, and inside ``GroebnerBasis.normal_form``, a polynomial is a
+list of (monomial, coefficient) terms with plain coefficients: ints in
+[0, p) over GF(p), ``Fraction`` over Q. Each monomial's order key is
+computed once per run, negated so that a heap pops the largest monomial
+first. Division reduces into one mutable dict with such a heap; pending
+pairs sit in a heap keyed by (lcm degree, i, j). Only the returned basis is
+built back into ``Polynomial`` objects. The kernel is exact: it uses field
+operations only (no floats, no reduction mod a prime over Q), and since a
+reduced basis is unique it returns exactly what a ``Polynomial``-level
+engine returns (``tests/slow_groebner.py`` is that engine, kept as oracle).
+
+Reduced bases are cached per (generator set, order) in a bounded LRU cache
+of ``GB_CACHE_SIZE`` entries. What the cache holds is immutable, except that
+a basis keeps its plain-term tails once a normal form has needed them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement
+from operator import add, le, sub
 from typing import Sequence
 
 from .errors import AmbientMismatch, LimitExceeded
-from .polynomials import (
-    GREVLEX,
-    PolyRing,
-    Polynomial,
-    elimination_order,
-    mon_div,
-    mon_divides,
-    mon_lcm,
-    mon_mul,
-)
+from .fields import GFElement
+from .polynomials import GREVLEX, PolyRing, Polynomial, elimination_order
 
 POWER_BOUND = 12
+GB_CACHE_SIZE = 256
 
 
 class Ideal:
@@ -85,30 +92,99 @@ def _canon_key(g: Polynomial, order):
     )
 
 
-def _reduce_full(f: Polynomial, basis, order) -> Polynomial:
-    """Remainder of f under full division by ``basis`` (list of monic polys)."""
-    ring = f.ring
-    remainder: dict = {}
-    h = f
-    while h.terms:
-        lm = h.leading_monomial(order)
-        lc = h.terms[lm]
-        for glm, g in basis:
-            if mon_divides(glm, lm):
-                h = h - g * ring.monomial(mon_div(lm, glm), lc)
-                break
+def _negated(key):
+    """Reverse a key's order: negate every int of a fixed-shape nested tuple."""
+    return tuple(map(_negated, key)) if isinstance(key, tuple) else -key
+
+
+def _plain(f: Polynomial) -> dict:
+    """f's terms with plain coefficients: ints in [0, p), or ``Fraction``."""
+    field = f.ring.field
+    if field.characteristic:
+        return {m: field(c).value for m, c in f.terms.items()}
+    return {m: field(c) for m, c in f.terms.items()}
+
+
+def _polynomial(ring: PolyRing, terms) -> Polynomial:
+    p = ring.field.characteristic
+    return Polynomial(ring, {m: GFElement(c, p) for m, c in terms} if p else dict(terms))
+
+
+class _Reducer:
+    """Full division by monic reducers on plain terms, one per run.
+
+    A reducer is its leading monomial and its tail, a list of (monomial,
+    coeff) pairs; reducers are tried in list order. ``keys`` memoizes the
+    negated order key of each monomial met, so a heap of them pops the
+    largest; ``first`` memoizes the first reducer dividing a monomial, which
+    stays valid while reducers are only appended.
+    """
+
+    def __init__(self, ring: PolyRing, order, lms=None, tails=None):
+        self.p = ring.field.characteristic
+        self.order = order
+        self.lms = [] if lms is None else lms
+        self.tails = [] if tails is None else tails
+        self.keys = {}
+        self.first = {}
+
+    def nkey(self, m):
+        k = self.keys.get(m)
+        if k is None:
+            k = self.keys[m] = _negated(self.order.key(m))
+        return k
+
+    def add_monic(self, terms: list) -> None:
+        """Append the monic multiple of a term list, largest term first."""
+        p, c = self.p, terms[0][1]
+        if p:
+            inv = pow(c, p - 2, p)
+            tail = [(m, a * inv % p) for m, a in terms[1:]]
         else:
-            remainder[lm] = lc
-            h = h - ring.monomial(lm, lc)
-    return Polynomial(ring, remainder)
+            tail = [(m, a / c) for m, a in terms[1:]]
+        self.lms.append(terms[0][0])
+        self.tails.append(tail)
 
+    def divisor(self, m) -> int:
+        i, start = self.first.get(m, (-1, 0))
+        if i >= 0:
+            return i
+        lms = self.lms
+        for i in range(start, len(lms)):
+            if all(map(le, lms[i], m)):
+                self.first[m] = (i, 0)
+                return i
+        self.first[m] = (-1, len(lms))
+        return -1
 
-def _spoly(f: Polynomial, g: Polynomial, order) -> Polynomial:
-    # f, g monic
-    lmf, lmg = f.leading_monomial(order), g.leading_monomial(order)
-    lcm = mon_lcm(lmf, lmg)
-    ring = f.ring
-    return f * ring.monomial(mon_div(lcm, lmf)) - g * ring.monomial(mon_div(lcm, lmg))
+    def reduce(self, h: dict) -> list:
+        """Remainder of the polynomial in the accumulator ``h`` (monomial ->
+        coeff, emptied on the way), as a term list, largest term first."""
+        p, lms, tails, divisor, nkey = self.p, self.lms, self.tails, self.divisor, self.nkey
+        heap = [(nkey(m), m) for m in h]
+        heapify(heap)
+        rem = []
+        while heap:
+            m = heappop(heap)[1]
+            c = h.pop(m)
+            if p:
+                c %= p  # the updates below skip the modulus
+            if not c:
+                continue
+            i = divisor(m)
+            if i < 0:
+                rem.append((m, c))
+                continue
+            t = tuple(map(sub, m, lms[i]))
+            for gm, a in tails[i]:
+                mm = tuple(map(add, gm, t))
+                v = h.get(mm)
+                if v is None:
+                    h[mm] = -c * a
+                    heappush(heap, (nkey(mm), mm))
+                else:
+                    h[mm] = v - c * a
+        return rem
 
 
 def buchberger(generators: Sequence[Polynomial], order=GREVLEX) -> list:
@@ -117,87 +193,85 @@ def buchberger(generators: Sequence[Polynomial], order=GREVLEX) -> list:
     if not gens:
         return []
     ring = gens[0].ring
-    work = []
-    for g in gens:
-        gm = g.monic(order)
-        if gm not in work:
-            work.append(gm)
-    work.sort(key=lambda g: _canon_key(g, order))
+    work = sorted(set(g.monic(order) for g in gens), key=lambda g: _canon_key(g, order))
 
-    lms = [g.leading_monomial(order) for g in work]
-    pending = {}
-    for i, j in combinations(range(len(work)), 2):
-        pending[(i, j)] = mon_lcm(lms[i], lms[j])
+    red = _Reducer(ring, order)
+    lms, tails, nkey = red.lms, red.tails, red.nkey
+    for g in work:
+        red.add_monic(sorted(_plain(g).items(), key=lambda mc: nkey(mc[0])))
+    pending = {}  # pair -> lcm of the two leading monomials
+    pairs = []  # heap of (lcm degree, i, j): the normal selection
 
-    def pair_of(a: int, b: int):
-        return (a, b) if a < b else (b, a)
+    def add_pairs(new: int):
+        for k in range(new):
+            lcm = tuple(map(max, lms[k], lms[new]))
+            pending[(k, new)] = lcm
+            heappush(pairs, (sum(lcm), k, new))
 
-    while pending:
-        (i, j) = min(pending, key=lambda p: (sum(pending[p]), p))
-        lcm_ij = pending.pop((i, j))
-        if lcm_ij == mon_mul(lms[i], lms[j]):
+    for new in range(1, len(lms)):
+        add_pairs(new)
+    while pairs:
+        _, i, j = heappop(pairs)
+        lcm = pending.pop((i, j))
+        if lcm == tuple(map(add, lms[i], lms[j])):
             continue  # coprime leading monomials
-        chain = any(
-            k not in (i, j)
-            and mon_divides(lms[k], lcm_ij)
-            and pair_of(i, k) not in pending
-            and pair_of(j, k) not in pending
-            for k in range(len(work))
-        )
-        if chain:
-            continue
-        s = _spoly(work[i], work[j], order)
-        r = _reduce_full(s, list(zip(lms, work)), order)
+        if any(
+            k != i
+            and k != j
+            and all(map(le, lms[k], lcm))
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k in range(len(lms))
+        ):
+            continue  # chain criterion
+        # S-polynomial: the leading terms cancel, so only the tails enter
+        ti, tj = tuple(map(sub, lcm, lms[i])), tuple(map(sub, lcm, lms[j]))
+        h = {tuple(map(add, m, ti)): a for m, a in tails[i]}
+        for m, a in tails[j]:
+            m = tuple(map(add, m, tj))
+            h[m] = h.get(m, 0) - a
+        r = red.reduce(h)
         if r:
-            r = r.monic(order)
-            new = len(work)
-            work.append(r)
-            lms.append(r.leading_monomial(order))
-            for k in range(new):
-                pending[(k, new)] = mon_lcm(lms[k], lms[new])
+            red.add_monic(r)
+            add_pairs(len(lms) - 1)
 
     # minimal basis: visit by ascending leading monomial, keep an element only
     # if no kept leading monomial divides its own (equal ones keep the first)
     keep = []
-    for i in sorted(range(len(work)), key=lambda i: order.key(lms[i])):
-        if not any(mon_divides(lms[j], lms[i]) for j in keep):
+    for i in sorted(range(len(lms)), key=lambda i: nkey(lms[i]), reverse=True):
+        if not any(all(map(le, lms[j], lms[i])) for j in keep):
             keep.append(i)
-    reduced = [work[i] for i in keep]
-
-    # tail reduction to a fixpoint; leading monomials are pairwise
-    # non-divisible now, so reduction can only rewrite tails
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(reduced)):
-            others = [
-                (g.leading_monomial(order), g)
-                for j, g in enumerate(reduced)
-                if j != i
-            ]
-            r = _reduce_full(reduced[i], others, order).monic(order)
-            if r != reduced[i]:
-                reduced[i] = r
-                changed = True
-    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
-    return reduced
+    # the reducers form a Groebner basis and a remainder modulo a basis is
+    # unique, so reducing each kept tail once gives the reduced basis
+    one = 1 if red.p else ring.field.one
+    return [
+        _polynomial(ring, [(lms[i], one)] + red.reduce(dict(tails[i])))
+        for i in reversed(keep)
+    ]
 
 
 class GroebnerBasis:
     """A reduced Groebner basis frozen together with its order."""
 
-    __slots__ = ("ring", "order", "polys", "lms")
+    __slots__ = ("ring", "order", "polys", "lms", "_tails")
 
     def __init__(self, ring: PolyRing, order, polys: Sequence[Polynomial]):
         self.ring = ring
         self.order = order
         self.polys = tuple(polys)
         self.lms = tuple(g.leading_monomial(order) for g in self.polys)
+        self._tails = None
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
             raise AmbientMismatch("polynomial outside the basis ring")
-        return _reduce_full(f, list(zip(self.lms, self.polys)), self.order)
+        if self._tails is None:
+            self._tails = tuple(
+                [mc for mc in _plain(g).items() if mc[0] != lm]
+                for lm, g in zip(self.lms, self.polys)
+            )
+        red = _Reducer(self.ring, self.order, self.lms, self._tails)
+        return _polynomial(self.ring, red.reduce(_plain(f)))
 
     def contains(self, f: Polynomial) -> bool:
         return not self.normal_form(f)
@@ -218,7 +292,7 @@ class GroebnerBasis:
         return f"GroebnerBasis[{self.order!r}]({', '.join(map(str, self.polys))})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GB_CACHE_SIZE)
 def _cached_gb(ideal: Ideal, order) -> GroebnerBasis:
     return GroebnerBasis(ideal.ring, order, buchberger(ideal.generators, order))
 

@@ -276,9 +276,17 @@ OUTPUT_SCHEMAS = {
 }
 
 
+# Built once: a validator holds no state between calls.
+_INPUT_VALIDATOR = jsonschema.Draft202012Validator(INPUT_SCHEMA)
+_OUTPUT_VALIDATORS = {
+    command: jsonschema.Draft202012Validator(schema)
+    for command, schema in OUTPUT_SCHEMAS.items()
+}
+
+
 def validate_input(obj) -> None:
-    jsonschema.Draft202012Validator(INPUT_SCHEMA).validate(obj)
+    _INPUT_VALIDATOR.validate(obj)
 
 
 def validate_output(command: str, obj) -> None:
-    jsonschema.Draft202012Validator(OUTPUT_SCHEMAS[command]).validate(obj)
+    _OUTPUT_VALIDATORS[command].validate(obj)

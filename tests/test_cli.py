@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from gradealg.cli import main
+from tests.test_simplicial import RP2_FACETS
 from gradealg.schemas import INPUT_SCHEMA, OUTPUT_SCHEMAS
 
 DATA = Path(__file__).parent / "data"
@@ -185,12 +186,19 @@ def test_console_script_entry_point(tmp_path):
     assert proc.returncode == 3
 
 
-def _cross_polytope_spec(tmp_path, pairs: int, b_pairs: int) -> Path:
-    """Boundary of the cross-polytope on `pairs` antipodal vertex pairs
-    (x1 x2, x3 x4, ...), with I generated by the first `b_pairs` pairs."""
-    facets = [[1], [2]]
-    for k in range(1, pairs):
+def _cross_polytope_facets(pairs: int) -> list:
+    """Facets of the boundary of the cross-polytope on `pairs` antipodal
+    vertex pairs (1 2, 3 4, ...), 1-based."""
+    facets = [[]]
+    for k in range(pairs):
         facets = [f + [2 * k + c] for f in facets for c in (1, 2)]
+    return facets
+
+
+def _cross_polytope_spec(tmp_path, pairs: int, b_pairs: int) -> Path:
+    """The cross-polytope on `pairs` vertex pairs (x1 x2, x3 x4, ...), with
+    I generated by the first `b_pairs` pairs."""
+    facets = _cross_polytope_facets(pairs)
     names = [f"x{v}" for v in range(1, 2 * pairs + 1)]
     spec = {"variables": names, "facets": facets, "I": names[: 2 * b_pairs], "field": "Q"}
     path = tmp_path / "cross.json"
@@ -221,3 +229,69 @@ def test_each_profile_is_computed_once(tmp_path, monkeypatch, argv, code, links)
     spec = _cross_polytope_spec(tmp_path, pairs=4, b_pairs=2)
     assert main([*argv, "--input", str(spec)]) == code
     assert len(calls) == links
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"J": [], "field": "Q", "variables": ["x1"]},
+        {"J": [], "I": ["x1"], "field": "Q", "variables": ["1x"]},
+        {"J": [], "I": ["x1"], "field": "Q", "variables": ["x1", "x1"]},
+        {"J": 3, "I": ["x1"], "field": "Q", "variables": ["x1"]},
+    ],
+)
+def test_validators_built_once_report_the_same_error(tmp_path, capsys, spec):
+    import jsonschema
+
+    from gradealg.schemas import validate_input
+
+    with pytest.raises(jsonschema.ValidationError) as fresh:
+        jsonschema.Draft202012Validator(INPUT_SCHEMA).validate(spec)
+    for _ in range(2):
+        with pytest.raises(jsonschema.ValidationError) as reused:
+            validate_input(spec)
+        assert reused.value.message == fresh.value.message
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["dim", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: invalid problem description: {fresh.value.message}\n"
+
+
+def _nonfaces_by_enumeration(ring, complex):
+    """Every vertex subset, by size then lexicographically, kept when it is
+    a non-face whose facets are all faces."""
+    from itertools import combinations
+
+    n = ring.nvars
+    out = []
+    for size in range(1, n + 1):
+        for s in combinations(range(n), size):
+            if not complex.has_face(s) and all(
+                complex.has_face(s[:k] + s[k + 1 :]) for k in range(size)
+            ):
+                out.append(ring.monomial(tuple(int(i in s) for i in range(n))))
+    return out
+
+
+@pytest.mark.parametrize(
+    "n,facets",
+    [
+        (6, [[v + 1 for v in f] for f in RP2_FACETS]),
+        (7, [[v + 1 for v in f] + [7] for f in RP2_FACETS]),
+        (6, _cross_polytope_facets(3)),
+        (8, _cross_polytope_facets(4)),
+        (10, _cross_polytope_facets(5)),
+        (4, [[1, 2], [3]]),
+        (3, []),
+    ],
+)
+def test_minimal_nonfaces_match_subset_enumeration(n, facets):
+    from gradealg.cli import _complex_from_facets, _minimal_nonface_ideal
+    from gradealg.fields import QQ
+    from gradealg.polynomials import PolyRing
+
+    ring = PolyRing([f"x{i}" for i in range(1, n + 1)], QQ)
+    complex = _complex_from_facets(ring, facets)
+    ideal = _minimal_nonface_ideal(ring, complex)
+    assert list(ideal.generators) == _nonfaces_by_enumeration(ring, complex)

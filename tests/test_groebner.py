@@ -214,11 +214,19 @@ def test_random_membership_roundtrip(seed):
 
 
 def test_sympy_cross_check():
-    sympy = pytest.importorskip("sympy")
+    pytest.importorskip("sympy")
+    for field in (QQ, GF(32003)):
+        _sympy_cross_check(field)
+
+
+def _sympy_cross_check(field):
+    import sympy
+
     rng = random.Random(23)
     names = ("x", "y", "z")
-    R = ring()
+    R = ring(field=field)
     syms = sympy.symbols(names)
+    options = {"modulus": field.p} if field.characteristic else {}
     from tests.test_polynomials import random_poly
 
     for _ in range(15):
@@ -231,11 +239,20 @@ def test_sympy_cross_check():
             [sympy.sympify(str(g).replace("^", "**")) for g in gens],
             *syms,
             order="grevlex",
+            **options,
         )
         expected = sorted(str(e).replace("**", "^").replace(" ", "") for e in theirs.exprs)
         got = sorted(str(g).replace(" ", "") for g in ours)
-        # sympy scales to integer content; compare monic normal forms instead
+        # sympy scales to integer content (and prints residues in the
+        # symmetric range mod p); compare monic normal forms instead
         theirs_polys = [R.parse(str(e).replace("**", "^")) for e in theirs.exprs]
         theirs_monic = sorted(str(p.monic(GREVLEX)) for p in theirs_polys)
         ours_monic = sorted(str(p) for p in ours)
         assert ours_monic == theirs_monic, (expected, got)
+
+
+def test_basis_cache_is_bounded():
+    from gradealg.groebner import GB_CACHE_SIZE, _cached_gb
+
+    assert _cached_gb.cache_info().maxsize == GB_CACHE_SIZE
+    assert 0 < GB_CACHE_SIZE < float("inf")
