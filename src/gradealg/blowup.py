@@ -19,9 +19,9 @@ from typing import Optional, Sequence
 
 from .errors import LimitExceeded
 from .groebner import (
-    GradedHilbert,
     Ideal,
     POWER_BOUND,
+    count_standard_monomials,
     groebner_basis,
     hilbert_function,
     ideal_member,
@@ -218,28 +218,22 @@ def bigraded_hilbert(
 ) -> BigradedHilbert:
     """dim of (I^n/I^(n+1))_d for n <= level_bound, d <= degree_bound.
 
-    Computed downstairs: the slice dimension is the difference of quotient
-    Hilbert functions of I^(n+1)+J and I^n+J, all inside the base ring.
+    Counted upstairs, on the associated graded presentation (fresh Y-names,
+    so any base variable names work). Before any Groebner basis past J's
+    own, the standard monomials of in(J) below degree
+    (level_bound + 1) * min deg f are counted under the same budget:
+    I^(level_bound+1) has nothing there, so the window holds all of A in
+    those degrees and their count is a lower bound of the upstairs count
+    (docs/math-notes.md §9).
     """
     S, f = _validated_input(J, f)
     _check_bounds(level_bound, degree_bound)
-    I = Ideal(S, f)
-
-    def quotient_dims(n: int) -> GradedHilbert:
-        return hilbert_function(
-            ideal_sum(ideal_power(I, n, bound=level_bound + 1), J), degree_bound
-        )
-
-    dims = {}
-    prev = quotient_dims(0)  # zero ring: I^0 + J = (1)
-    for n in range(level_bound + 1):
-        cur = quotient_dims(n + 1)
-        for d in range(degree_bound + 1):
-            v = cur[d] - prev[d]
-            if v:
-                dims[(n, d)] = v
-        prev = cur
-    return BigradedHilbert(dims, level_bound, degree_bound)
+    low = min(g.total_degree() for g in f)
+    hilbert_function(J, min(degree_bound, (level_bound + 1) * low - 1))
+    taken = set(S.variables)
+    y_names = [_fresh_name(taken, f"Y{i + 1}") for i in range(len(f))]
+    pres = assoc_graded_presentation(J, f, y_names)
+    return presentation_bigraded_hilbert(pres, level_bound, degree_bound)
 
 
 def presentation_bigraded_hilbert(
@@ -251,43 +245,15 @@ def presentation_bigraded_hilbert(
 
     Counts standard monomials of the defining ideal's initial ideal, tallied
     by (weight, internal degree). For an associated-graded presentation this
-    must agree with ``bigraded_hilbert``.
+    is the table of ``bigraded_hilbert``.
     """
     _check_bounds(level_bound, degree_bound)
-    gb = groebner_basis(pres.defining)
-    lms = gb.leading_monomials()
-    ring = pres.ring
-    nvars = ring.nvars
-    n_x = len(pres.x_names)
-    weights = [0] * n_x + [1] * len(pres.y_names)
-    internal = [1] * n_x + list(pres.y_degrees)
-
-    by_last = [[] for _ in range(nvars + 1)]
-    for lm in lms:
-        support = [i for i, e in enumerate(lm) if e]
-        last = max(support) if support else -1
-        by_last[last + 1].append(lm)
-
-    dims: dict = {}
-    exp = [0] * nvars
-
-    def rec(pos: int, weight: int, degree: int):
-        for lm in by_last[pos]:
-            if all(lm[i] <= exp[i] for i in range(pos)):
-                return
-        if pos == nvars:
-            dims[(weight, degree)] = dims.get((weight, degree), 0) + 1
-            return
-        e = 0
-        while True:
-            w = weight + e * weights[pos]
-            d = degree + e * internal[pos]
-            if w > level_bound or d > degree_bound:
-                break
-            exp[pos] = e
-            rec(pos + 1, w, d)
-            e += 1
-        exp[pos] = 0
-
-    rec(0, 0, 0)
-    return BigradedHilbert({k: v for k, v in dims.items() if v}, level_bound, degree_bound)
+    n_x, n_y = len(pres.x_names), len(pres.y_names)
+    dims = count_standard_monomials(
+        groebner_basis(pres.defining).leading_monomials(),
+        [0] * n_x + [1] * n_y,
+        [1] * n_x + list(pres.y_degrees),
+        level_bound,
+        degree_bound,
+    )
+    return BigradedHilbert(dims, level_bound, degree_bound)

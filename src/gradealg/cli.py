@@ -4,7 +4,7 @@ Reads a JSON problem description, dispatches to the library, prints a
 plain-text summary to stdout and optionally writes a JSON report. Exit
 codes are stable across commands: 0 for success or an affirmative
 decision, 3 for a negative decision, 1 for input errors, 2 when an
-internal limit is exceeded.
+internal limit is exceeded, 4 when an internal self-check fails.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .blowup import (
     rees_presentation,
 )
 from .criterion import decide_and_verify, variable_subset_basis
-from .errors import LimitExceeded, ParseError
+from .errors import InternalError, LimitExceeded, ParseError
 from .fields import parse_field
 from .groebner import Ideal
 from .polynomials import GREVLEX, PolyRing
@@ -463,6 +463,9 @@ def main(argv=None) -> int:
     except LimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except jsonschema.ValidationError as exc:
         print(f"error: invalid problem description: {exc.message}", file=sys.stderr)
         return 1

@@ -1,8 +1,8 @@
 """Shared exception types.
 
 Input-domain problems are ValueErrors so callers can treat them uniformly;
-resource ceilings get their own class because the CLI maps them to a distinct
-exit code.
+resource ceilings and internal invariant failures each get their own class
+because the CLI maps them to distinct exit codes.
 """
 
 
@@ -20,3 +20,7 @@ class LimitExceeded(RuntimeError):
 
 class WindowUnderflow(LimitExceeded):
     """A cohomology window is too narrow for a requested exact value."""
+
+
+class InternalError(RuntimeError):
+    """An internal invariant failed: a bug, not a bad input or a limit."""

@@ -39,6 +39,9 @@ from .polynomials import GREVLEX, PolyRing, Polynomial, elimination_order
 
 POWER_BOUND = 12
 GB_CACHE_SIZE = 256
+# Work budget of ``count_standard_monomials``: the most monomials one call
+# counts. Every Hilbert function and bigraded Hilbert table goes through it.
+MAX_STANDARD_MONOMIALS = 10**6
 
 
 class Ideal:
@@ -47,14 +50,14 @@ class Ideal:
     __slots__ = ("ring", "generators", "homogeneous", "_hash")
 
     def __init__(self, ring: PolyRing, generators: Sequence[Polynomial]):
-        gens = []
+        gens = {}  # insertion-ordered: drops repeats, keeps the first order
         for g in generators:
             if not isinstance(g, Polynomial):
                 raise TypeError("generators must be polynomials")
             if g.ring != ring:
                 raise AmbientMismatch("generator outside the ambient ring")
-            if g and g not in gens:
-                gens.append(g)
+            if g:
+                gens[g] = None
         self.ring = ring
         self.generators = tuple(gens)
         self.homogeneous = all(g.is_homogeneous() for g in gens)
@@ -337,9 +340,8 @@ def ideal_power(ideal: Ideal, n: int, bound: int = POWER_BOUND) -> Ideal:
         g = ideal.ring.one
         for f in combo:
             g = g * f
-        if g and g not in gens:
-            gens.append(g)
-    return Ideal(ideal.ring, gens)
+        gens.append(g)
+    return Ideal(ideal.ring, gens)  # drops zeros and repeats, keeps the order
 
 
 def elimination_ideal(ideal: Ideal, keep: Sequence[int]) -> Ideal:
@@ -384,29 +386,59 @@ class GradedHilbert:
         return {d: v for d, v in enumerate(self.dims)}
 
 
-def _count_standard_monomials(lms, nvars: int, bound: int) -> list:
-    """Count monomials of each degree <= bound divisible by none of ``lms``."""
-    by_last = [[] for _ in range(nvars + 1)]
+def count_standard_monomials(lms, weights, degrees, level_bound: int, degree_bound: int) -> dict:
+    """Monomials divisible by none of ``lms``, tallied by (weight, degree).
+
+    Variable i has weight ``weights[i]`` >= 0 and degree ``degrees[i]`` >= 1.
+    Only monomials of weight <= ``level_bound`` and degree <= ``degree_bound``
+    are counted; the result maps each (weight, degree) to its nonzero count.
+
+    Exponents are fixed variable by variable. ``by_last[i]`` holds the
+    monomials whose last variable is i; those dividing the fixed prefix cap
+    the exponent of i, and the last variable's exponents are tallied in one
+    run. Every node is a standard monomial (its prefix padded with zeros), so
+    the work is at most nvars nodes per monomial counted. Past
+    ``MAX_STANDARD_MONOMIALS`` monomials counted it raises ``LimitExceeded``.
+    """
+    by_last = [[] for _ in degrees]
     for lm in lms:
         support = [i for i, e in enumerate(lm) if e]
-        last = max(support) if support else -1
-        by_last[last + 1].append(lm)
-    counts = [0] * (bound + 1)
-    exp = [0] * nvars
+        if not support:
+            return {}  # the unit ideal: nothing is standard
+        last = support[-1]
+        by_last[last].append((lm[:last], lm[last]))
+    if not degrees:
+        return {(0, 0): 1}
+    n = len(degrees)
+    counts = {}
+    exp = [0] * n
+    left = MAX_STANDARD_MONOMIALS
 
-    def rec(pos: int, deg: int):
-        for lm in by_last[pos]:
-            if all(lm[i] <= exp[i] for i in range(pos)):
-                return
-        if pos == nvars:
-            counts[deg] += 1
+    def rec(pos: int, weight: int, degree: int):
+        nonlocal left
+        w, d = weights[pos], degrees[pos]
+        top = (degree_bound - degree) // d
+        if w:
+            top = min(top, (level_bound - weight) // w)
+        for prefix, e in by_last[pos]:
+            if e <= top and all(map(le, prefix, exp)):
+                top = e - 1
+        if pos == n - 1:
+            left -= top + 1
+            if left < 0:
+                raise LimitExceeded(
+                    f"more than {MAX_STANDARD_MONOMIALS} standard monomials to count"
+                )
+            for e in range(top + 1):
+                key = (weight + e * w, degree + e * d)
+                counts[key] = counts.get(key, 0) + 1
             return
-        for e in range(bound - deg + 1):
+        for e in range(top + 1):
             exp[pos] = e
-            rec(pos + 1, deg + e)
+            rec(pos + 1, weight + e * w, degree + e * d)
         exp[pos] = 0
 
-    rec(0, 0)
+    rec(0, 0, 0)
     return counts
 
 
@@ -416,9 +448,13 @@ def hilbert_function(ideal: Ideal, degree_bound: int) -> GradedHilbert:
         raise ValueError("Hilbert function needs a homogeneous ideal")
     if degree_bound < 0:
         raise ValueError("negative degree bound")
-    gb = groebner_basis(ideal)
-    counts = _count_standard_monomials(gb.leading_monomials(), ideal.ring.nvars, degree_bound)
-    return GradedHilbert(tuple(counts), degree_bound)
+    n = ideal.ring.nvars
+    counts = count_standard_monomials(
+        groebner_basis(ideal).leading_monomials(), [0] * n, [1] * n, 0, degree_bound
+    )
+    return GradedHilbert(
+        tuple(counts.get((0, d), 0) for d in range(degree_bound + 1)), degree_bound
+    )
 
 
 def krull_dim(ideal: Ideal) -> int:

@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
+from .errors import InternalError
 from .simplicial import (
     DEFAULT_WINDOW,
     CohomologyWindow,
@@ -327,14 +328,14 @@ def decide_gencm(data: SplitSRData, field) -> GenCMVerdict:
     assembled = assemble_rees_cohomology(data, field, lo=0, hi=0)
     direct = all(assembled.flag(q).finite_length for q in range(0, d_rees))
     if direct != verdict:
-        raise RuntimeError(
+        raise InternalError(
             "case analysis disagrees with assembled vanishing flags; "
             f"case={case} verdict={verdict} direct={direct}"
         )
 
     cm = decide_cm_rees(data, field).cm_rees
     if cm and not verdict:
-        raise RuntimeError("Cohen-Macaulay verdict without generalized CM")
+        raise InternalError("Cohen-Macaulay verdict without generalized CM")
     return GenCMVerdict(
         gencm=verdict,
         case=case,

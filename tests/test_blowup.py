@@ -1,5 +1,8 @@
 """Rees and associated graded presentations via elimination."""
 
+import random
+import time
+
 import pytest
 
 from gradealg.blowup import (
@@ -9,10 +12,12 @@ from gradealg.blowup import (
     presentation_bigraded_hilbert,
     rees_presentation,
 )
+from gradealg import blowup, groebner
 from gradealg.errors import LimitExceeded
 from gradealg.fields import GF, QQ
-from gradealg.groebner import Ideal, hilbert_function
+from gradealg.groebner import Ideal, count_standard_monomials, hilbert_function, ideal_member
 from gradealg.polynomials import PolyRing
+from tests.downstairs_hilbert import downstairs_bigraded_hilbert
 
 
 def setup(names, j_texts, i_texts, field=QQ):
@@ -165,7 +170,7 @@ def test_presentation_hilbert_matches_quotient_route():
         R, J, f = setup(names, jt, it)
         pres = assoc_graded_presentation(J, f)
         upstairs = presentation_bigraded_hilbert(pres, 6, 6)
-        downstairs = bigraded_hilbert(J, f, 6, 6)
+        downstairs = downstairs_bigraded_hilbert(J, f, 6, 6)
         assert upstairs.dims == downstairs.dims, names
 
 
@@ -181,3 +186,81 @@ def test_bound_guards():
         bigraded_hilbert(J, f, 17, 4)
     with pytest.raises(LimitExceeded):
         bigraded_hilbert(J, f, 4, 21)
+
+
+def _random_homogeneous(R, rng, degree):
+    """A nonzero homogeneous polynomial of the given degree, 1 to 3 terms."""
+    while True:
+        g = R.zero
+        for _ in range(rng.randrange(1, 4)):
+            mon = [0] * R.nvars
+            for _ in range(degree):
+                mon[rng.randrange(R.nvars)] += 1
+            g = g + R.monomial(tuple(mon), rng.choice([1, 2, -1, 3]))
+        if g:
+            return g
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "GF32003"])
+def test_bigraded_hilbert_matches_downstairs_oracle(field):
+    rng = random.Random(20041)
+    checked = 0
+    while checked < 40:
+        R = PolyRing(tuple(f"x{i}" for i in range(1, rng.randrange(2, 6))), field)
+        J = Ideal(R, [_random_homogeneous(R, rng, rng.randrange(2, 4)) for _ in range(rng.randrange(0, 3))])
+        f = [_random_homogeneous(R, rng, rng.randrange(1, 3)) for _ in range(rng.randrange(1, 3))]
+        if any(ideal_member(g, J) for g in f):
+            continue  # degenerate generators are rejected as input errors
+        level_bound, degree_bound = rng.randrange(1, 4), rng.randrange(2, 6)
+        table = bigraded_hilbert(J, f, level_bound, degree_bound)
+        oracle = downstairs_bigraded_hilbert(J, f, level_bound, degree_bound)
+        assert table.dims == oracle.dims, (J, f, level_bound, degree_bound)
+        checked += 1
+
+
+def test_eight_variables_at_default_bounds_is_fast_and_telescopes():
+    R, J, f = setup(",".join(f"x{i}" for i in range(1, 9)), ["x1*x2", "x3*x4 - x5*x6"], ["x1", "x2", "x3"])
+    start = time.perf_counter()
+    table = bigraded_hilbert(J, f)
+    assert time.perf_counter() - start < 1.0
+    base = hilbert_function(J, 8)
+    for d in range(9):
+        assert sum(table[n, d] for n in range(9)) == base[d], d
+
+
+def test_standard_monomial_budget_is_exact(monkeypatch):
+    lms = [(1, 1, 0)]
+    total = sum(count_standard_monomials(lms, [0, 0, 0], [1, 1, 1], 0, 6).values())
+    monkeypatch.setattr(groebner, "MAX_STANDARD_MONOMIALS", total)
+    count_standard_monomials(lms, [0, 0, 0], [1, 1, 1], 0, 6)
+    monkeypatch.setattr(groebner, "MAX_STANDARD_MONOMIALS", total - 1)
+    with pytest.raises(LimitExceeded):
+        count_standard_monomials(lms, [0, 0, 0], [1, 1, 1], 0, 6)
+
+
+def test_budget_refuses_no_request_under_it(monkeypatch):
+    # L = 2, D = (L+1) * min deg f = 3: the pre-check counts A only up to
+    # degree 2, as degree 3 already meets I^3; a budget of exactly the
+    # table's total must pass
+    R, J, f = setup("x1,x2", ["x1*x2"], ["x1", "x2"])
+    total = sum(bigraded_hilbert(J, f, 2, 3).dims.values())
+    monkeypatch.setattr(groebner, "MAX_STANDARD_MONOMIALS", total)
+    assert sum(bigraded_hilbert(J, f, 2, 3).dims.values()) == total
+    monkeypatch.setattr(groebner, "MAX_STANDARD_MONOMIALS", total - 1)
+    with pytest.raises(LimitExceeded):
+        bigraded_hilbert(J, f, 2, 3)
+
+
+def test_budget_stops_before_the_presentation(monkeypatch):
+    # 12 variables, I = m: the window holds all of A up to degree 16, far
+    # more than the budget, so the pre-check must refuse before any
+    # Groebner basis past J's own
+    names = ",".join(f"x{i}" for i in range(1, 13))
+    R, J, f = setup(names, ["x1*x2"], names.split(","))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("presentation built past the budget")
+
+    monkeypatch.setattr(blowup, "assoc_graded_presentation", unreachable)
+    with pytest.raises(LimitExceeded):
+        bigraded_hilbert(J, f, 16, 20)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -295,3 +296,53 @@ def test_minimal_nonfaces_match_subset_enumeration(n, facets):
     complex = _complex_from_facets(ring, facets)
     ideal = _minimal_nonface_ideal(ring, complex)
     assert list(ideal.generators) == _nonfaces_by_enumeration(ring, complex)
+
+
+def _write_spec(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def test_hilbert_budget_probe_exits_two_quickly(tmp_path, capsys):
+    # 12 variables at the largest valid bounds: past the standard-monomial
+    # budget, refused before the Rees presentation is built
+    names = [f"x{i}" for i in range(1, 13)]
+    spec = {"variables": names, "J": ["x1*x2"], "I": names,
+            "options": {"level_bound": 16, "degree_bound": 20}}
+    path = _write_spec(tmp_path, spec)
+    start = time.perf_counter()
+    assert main(["hilbert", "--input", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "standard monomials" in err
+
+
+def test_hilbert_on_variables_named_y1_and_t(tmp_path):
+    from gradealg.fields import QQ
+    from gradealg.groebner import Ideal
+    from gradealg.polynomials import PolyRing
+    from tests.downstairs_hilbert import downstairs_bigraded_hilbert
+
+    spec = {"variables": ["Y1", "t", "x"], "J": ["Y1*t - x^2"], "I": ["Y1", "t"],
+            "options": {"level_bound": 3, "degree_bound": 4}}
+    out = tmp_path / "r.json"
+    assert main(["hilbert", "--input", _write_spec(tmp_path, spec), "--json", str(out)]) == 0
+    R = PolyRing(("Y1", "t", "x"), QQ)
+    oracle = downstairs_bigraded_hilbert(Ideal.parse(R, spec["J"]), [R.parse(g) for g in spec["I"]], 3, 4)
+    entries = [[n, d, v] for (n, d), v in sorted(oracle.dims.items())]
+    assert json.loads(out.read_text())["entries"] == entries
+
+
+def test_failed_self_check_is_an_internal_error(monkeypatch, capsys):
+    import types
+
+    from gradealg import rees_cohomology
+
+    # path.json is not generalized CM; a CM verdict now contradicts it
+    monkeypatch.setattr(
+        rees_cohomology, "decide_cm_rees", lambda data, field: types.SimpleNamespace(cm_rees=True)
+    )
+    assert main(["gencm", "--input", str(DATA / "path.json")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and err.count("\n") == 1

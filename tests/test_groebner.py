@@ -150,12 +150,23 @@ def test_ideal_power():
         ideal_power(I, 40)
 
 
+def test_ideal_drops_zeros_and_repeats_keeping_the_first_order():
+    R = ring("x,y")
+    x, y = R.parse("x"), R.parse("y")
+    I = Ideal(R, [y, x, R.zero, y, x * y, x, R.parse("2*y - y")])
+    assert [str(g) for g in I.generators] == ["y", "x", "x*y"]
+    # x^2 * y^2 and (x*y)^2 are one generator of the square
+    sq = ideal_power(Ideal.parse(R, ["x^2", "x*y", "y^2"]), 2)
+    assert [str(g) for g in sq.generators] == ["x^4", "x^3*y", "x^2*y^2", "x*y^3", "y^4"]
+
+
 def test_hilbert_function_values():
     R = ring("x,y")
     h = hilbert_function(Ideal.parse(R, ["x^2", "x*y"]), 5)
     assert list(h.dims) == [1, 2, 1, 1, 1, 1]
     free = hilbert_function(Ideal(R, []), 4)
     assert list(free.dims) == [1, 2, 3, 4, 5]
+    assert list(hilbert_function(Ideal(PolyRing((), QQ), []), 2).dims) == [1, 0, 0]
     with pytest.raises(ValueError):
         hilbert_function(Ideal.parse(R, ["x - 1"]), 3)
 
