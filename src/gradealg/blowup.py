@@ -104,7 +104,13 @@ def rees_presentation(
     J: Ideal, f: Sequence[Polynomial], y_names: Optional[Sequence[str]] = None
 ) -> ReesPresentation:
     """Defining ideal of the Rees algebra (S/J)[It], I = (f)."""
-    S, f = _validated_input(J, f)
+    _, f = _validated_input(J, f)
+    return _rees_presentation(J, f, y_names)
+
+
+def _rees_presentation(J: Ideal, f: tuple, y_names) -> ReesPresentation:
+    """``rees_presentation`` on generators already validated against J."""
+    S = J.ring
     m = len(f)
     y_names = tuple(y_names) if y_names else _default_y_names(S, m)
     if len(y_names) != m:
@@ -144,7 +150,13 @@ def assoc_graded_presentation(
     J: Ideal, f: Sequence[Polynomial], y_names: Optional[Sequence[str]] = None
 ) -> ReesPresentation:
     """Defining ideal of the associated graded ring of I = (f) on S/J."""
-    rees = rees_presentation(J, f, y_names)
+    _, f = _validated_input(J, f)
+    return _assoc_graded_presentation(J, f, y_names)
+
+
+def _assoc_graded_presentation(J: Ideal, f: tuple, y_names) -> ReesPresentation:
+    """``assoc_graded_presentation`` on generators already validated against J."""
+    rees = _rees_presentation(J, f, y_names)
     xy = rees.ring
     gens = list(rees.defining.generators) + [g.rename_into(xy) for g in f]
     defining = Ideal(xy, list(groebner_basis(Ideal(xy, gens))))
@@ -232,7 +244,7 @@ def bigraded_hilbert(
     hilbert_function(J, min(degree_bound, (level_bound + 1) * low - 1))
     taken = set(S.variables)
     y_names = [_fresh_name(taken, f"Y{i + 1}") for i in range(len(f))]
-    pres = assoc_graded_presentation(J, f, y_names)
+    pres = _assoc_graded_presentation(J, f, y_names)
     return presentation_bigraded_hilbert(pres, level_bound, degree_bound)
 
 

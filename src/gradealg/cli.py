@@ -105,23 +105,13 @@ def _complex_from_facets(ring: PolyRing, facets) -> SimplicialComplex:
 def _minimal_nonface_ideal(ring: PolyRing, complex: SimplicialComplex) -> Ideal:
     """Monomials of the minimal non-faces, by size, then lexicographically."""
     n = ring.nvars
-    faces = {tuple(sorted(f)) for f in complex.faces()}
-    gens = []
-    for size in range(1, n + 1):
-        # a minimal non-face is a face one vertex smaller plus a later vertex
-        candidates = {
-            f + (v,)
-            for f in faces
-            if len(f) == size - 1
-            for v in range(f[-1] + 1 if f else 0, n)
-        }
-        for s in sorted(candidates):
-            if s not in faces and all(s[:k] + s[k + 1 :] in faces for k in range(size)):
-                exps = [0] * n
-                for i in s:
-                    exps[i] = 1
-                gens.append(ring.monomial(tuple(exps)))
-    return Ideal(ring, gens)
+    return Ideal(
+        ring,
+        [
+            ring.monomial(tuple(int(i in s) for i in range(n)))
+            for s in complex.minimal_nonfaces()
+        ],
+    )
 
 
 def _problem(spec: dict, field):

@@ -49,16 +49,9 @@ from .simplicial import (
     IndexFlags,
     SimplicialComplex,
     local_cohomology_window,
+    restrict_complex,
     sr_invariants,
 )
-
-
-def restrict_complex(complex: SimplicialComplex, vertices: Iterable[int]) -> SimplicialComplex:
-    """Full subcomplex on the given vertex subset."""
-    vs = frozenset(vertices)
-    if not vs <= set(complex.vertices):
-        raise ValueError("restriction vertices must lie in the complex")
-    return SimplicialComplex(vs, [f & vs for f in complex.facets])
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ empty face contributes".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb, gcd
 from typing import Iterable, NamedTuple, Optional
@@ -102,6 +102,37 @@ class SimplicialComplex:
             for size in range(len(f) + 1):
                 out.update(map(frozenset, combinations(sorted(f), size)))
         return out
+
+    def minimal_nonfaces(self) -> list:
+        """Minimal non-faces as sorted label tuples, by size, then
+        lexicographically.
+
+        Faces are bitmasks over vertex positions. A minimal non-face is a
+        face plus one vertex past its largest whose other one-smaller
+        subsets are faces too, so each is found once, from its face
+        without the largest vertex.
+        """
+        pos = {v: k for k, v in enumerate(self.vertices)}
+        faces = set()
+        for f in self.facets:
+            mask = sub = sum(1 << pos[v] for v in f)
+            while True:
+                faces.add(sub)
+                if not sub:
+                    break
+                sub = (sub - 1) & mask
+        found = []
+        for f in faces:
+            for k in range(f.bit_length(), len(self.vertices)):
+                s = f | (1 << k)
+                if s in faces:
+                    continue
+                rest = f  # the vertices whose removal from s is left to check
+                while rest and s ^ (rest & -rest) in faces:
+                    rest &= rest - 1
+                if not rest:
+                    found.append(tuple(v for i, v in enumerate(self.vertices) if s >> i & 1))
+        return sorted(found, key=lambda s: (len(s), s))
 
     def has_face(self, s: Iterable[int]) -> bool:
         s = frozenset(s)
@@ -186,11 +217,12 @@ def reduced_homology_ranks(complex: SimplicialComplex, field) -> dict:
     Uses the augmented chain complex, so the empty complex has rank one in
     index -1 and any nonempty complex has rank zero there.
     """
-    faces_by_dim: dict = {}
-    for f in complex.faces():
-        faces_by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
-    for fs in faces_by_dim.values():
-        fs.sort()
+    by_dim: dict = {}
+    for f in complex.facets:
+        f = sorted(f)
+        for size in range(len(f) + 1):
+            by_dim.setdefault(size - 1, set()).update(combinations(f, size))
+    faces_by_dim = {i: sorted(fs) for i, fs in by_dim.items()}
     top = complex.dim
 
     boundary_rank: dict = {}
@@ -282,27 +314,86 @@ def _profile_dim(profile: dict, j: int) -> int:
     return sum(r * comb(-j - 1, s - 1) for s, r in profile.items() if s >= 1)
 
 
+def restrict_complex(complex: SimplicialComplex, vertices: Iterable[int]) -> SimplicialComplex:
+    """Full subcomplex on the given vertex subset."""
+    vs = frozenset(vertices)
+    if not vs <= set(complex.vertices):
+        raise ValueError("restriction vertices must lie in the complex")
+    if len(vs) == len(complex.vertices):
+        return complex
+    return SimplicialComplex(vs, [f & vs for f in complex.facets])
+
+
+def _join_factors(complex: SimplicialComplex) -> list:
+    """The finest join decomposition, as full subcomplexes.
+
+    Its vertex blocks are the connected components of the graph joining two
+    vertices that lie in a common minimal non-face. A vertex in none is a
+    cone point and a block of its own, as is a ghost vertex (a one-vertex
+    minimal non-face); the complex with no vertices has no factors.
+    """
+    blocks: list = []
+    for s in complex.minimal_nonfaces() + [(v,) for v in complex.vertices]:
+        block = set(s)
+        for other in [b for b in blocks if b & block]:
+            blocks.remove(other)
+            block |= other
+        blocks.append(block)
+    return [restrict_complex(complex, b) for b in blocks]
+
+
+@lru_cache(maxsize=PROFILE_CACHE_SIZE)
+def _link_table(complex: SimplicialComplex, field) -> tuple:
+    """``(face, {e: rank})`` for every face with nonzero link homology,
+    ``e`` the homology index plus one. Cached per (complex, field) so a
+    join factor shared by several complexes is computed once."""
+    table = []
+    for s in complex.faces():
+        link_ranks = reduced_homology_ranks(complex.link(s), field)
+        ranks = {h + 1: r for h, r in link_ranks.items() if r > 0}
+        if ranks:
+            table.append((s, ranks))
+    return tuple(table)
+
+
+def _join_tables(first, second) -> list:
+    """The link table of a join from those of its two factors: faces are
+    unions, and for each pair of entries ``e`` adds and ranks multiply."""
+    table = []
+    for s, a in first:
+        for t, b in second:
+            ranks: dict = {}
+            for e1, r1 in a.items():
+                for e2, r2 in b.items():
+                    ranks[e1 + e2] = ranks.get(e1 + e2, 0) + r1 * r2
+            table.append((s | t, ranks))
+    return table
+
+
 @lru_cache(maxsize=PROFILE_CACHE_SIZE)
 def _profile(complex: SimplicialComplex, field) -> tuple:
     """The window-independent contribution profile ``(contrib, contrib_faces)``.
 
     ``contrib[i][s]`` sums the link homology ranks of size-s faces
     contributing to index i; ``contrib_faces[i]`` lists those faces with
-    their ranks. Cached per (complex, field): callers only read it, and
-    windows copy it.
+    their ranks, by size, then lexicographically. Link homology is computed
+    on the finest join factors only: a face of a join K * L is s | t with
+    link lk s * lk t, whose reduced homology over a field is the shifted
+    tensor product of the two (docs/math-notes.md §4). Cached per
+    (complex, field): callers only read it, and windows copy it.
     """
     if len(complex.vertices) > VERTEX_BOUND:
         raise LimitExceeded(
             f"{len(complex.vertices)} vertices exceed the bound {VERTEX_BOUND}"
         )
+    tables = [_link_table(factor, field) for factor in _join_factors(complex)]
+    # with no vertices, the complex is {empty}, the unit of the join
+    table = reduce(_join_tables, tables) if tables else [(frozenset(), {0: 1})]
     contrib: dict = {}
     contrib_faces: dict = {}
-    for s in sorted(complex.faces(), key=lambda f: (len(f), sorted(f))):
-        link_ranks = reduced_homology_ranks(complex.link(s), field)
-        for hom_index, rank in link_ranks.items():
-            if rank <= 0:
-                continue
-            i = hom_index + len(s) + 1
+    for s, ranks in sorted(table, key=lambda item: (len(item[0]), sorted(item[0]))):
+        for e, rank in sorted(ranks.items()):
+            i = e + len(s)
             contrib.setdefault(i, {})
             contrib[i][len(s)] = contrib[i].get(len(s), 0) + rank
             contrib_faces.setdefault(i, []).append((s, rank))

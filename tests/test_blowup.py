@@ -261,6 +261,27 @@ def test_budget_stops_before_the_presentation(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("presentation built past the budget")
 
-    monkeypatch.setattr(blowup, "assoc_graded_presentation", unreachable)
+    monkeypatch.setattr(blowup, "_rees_presentation", unreachable)
     with pytest.raises(LimitExceeded):
         bigraded_hilbert(J, f, 16, 20)
+
+
+def test_bigraded_hilbert_validates_its_input_once(monkeypatch):
+    # one membership normal form per generator of I, for the table and for
+    # each public presentation called directly
+    R, J, f = setup("x1,x2,x3", ["x1*x2"], ["x1", "x2", "x3^2"])
+    calls = []
+
+    def counting(g, ideal):
+        calls.append(g)
+        return ideal_member(g, ideal)
+
+    monkeypatch.setattr(blowup, "ideal_member", counting)
+    for build in (
+        lambda: bigraded_hilbert(J, f, 2, 3),
+        lambda: rees_presentation(J, f),
+        lambda: assoc_graded_presentation(J, f),
+    ):
+        calls.clear()
+        build()
+        assert calls == f
