@@ -151,14 +151,14 @@ def assoc_graded_presentation(
 ) -> ReesPresentation:
     """Defining ideal of the associated graded ring of I = (f) on S/J."""
     _, f = _validated_input(J, f)
-    return _assoc_graded_presentation(J, f, y_names)
+    return _assoc_graded_from_rees(_rees_presentation(J, f, y_names))
 
 
-def _assoc_graded_presentation(J: Ideal, f: tuple, y_names) -> ReesPresentation:
-    """``assoc_graded_presentation`` on generators already validated against J."""
-    rees = _rees_presentation(J, f, y_names)
+def _assoc_graded_from_rees(rees: ReesPresentation) -> ReesPresentation:
+    """The associated graded presentation of the ideal a Rees presentation
+    was built for: its defining ideal plus the generators themselves."""
     xy = rees.ring
-    gens = list(rees.defining.generators) + [g.rename_into(xy) for g in f]
+    gens = list(rees.defining.generators) + [g.rename_into(xy) for g in rees.f]
     defining = Ideal(xy, list(groebner_basis(Ideal(xy, gens))))
     return ReesPresentation(
         ring=xy,
@@ -244,7 +244,7 @@ def bigraded_hilbert(
     hilbert_function(J, min(degree_bound, (level_bound + 1) * low - 1))
     taken = set(S.variables)
     y_names = [_fresh_name(taken, f"Y{i + 1}") for i in range(len(f))]
-    pres = _assoc_graded_presentation(J, f, y_names)
+    pres = _assoc_graded_from_rees(_rees_presentation(J, f, y_names))
     return presentation_bigraded_hilbert(pres, level_bound, degree_bound)
 
 

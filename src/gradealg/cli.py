@@ -20,11 +20,11 @@ import jsonschema
 from .blowup import (
     DEGREE_BOUND,
     LEVEL_BOUND,
-    assoc_graded_presentation,
+    _assoc_graded_from_rees,
     bigraded_hilbert,
     rees_presentation,
 )
-from .criterion import decide_and_verify, variable_subset_basis
+from .criterion import _verify_iso_witness, decide_iso, variable_subset_basis
 from .errors import InternalError, LimitExceeded, ParseError
 from .fields import parse_field
 from .groebner import Ideal
@@ -80,15 +80,17 @@ def _field_for(spec: dict, args) -> object:
 
 
 def _window_for(spec: dict, args) -> tuple:
+    """The cohomology window, which must contain 0: ``--window``, else the
+    file's, else the default."""
     if args.window:
-        return _parse_window_text(args.window)
-    opts = spec.get("options", {})
-    if "window" in opts:
-        lo, hi = opts["window"]
+        lo, hi = _parse_window_text(args.window)
+    else:
+        lo, hi = spec.get("options", {}).get("window", DEFAULT_WINDOW)
         if lo > hi:
             raise ValueError(f"empty window [{lo}, {hi}]")
-        return lo, hi
-    return DEFAULT_WINDOW
+    if not lo <= 0 <= hi:
+        raise ValueError(f"cohomology window [{lo}, {hi}] must contain 0")
+    return lo, hi
 
 
 def _complex_from_facets(ring: PolyRing, facets) -> SimplicialComplex:
@@ -127,31 +129,13 @@ def _problem(spec: dict, field):
     return ring, J, i_polys, complex_builder
 
 
-def _require_sr_window(window: tuple) -> tuple:
-    lo, hi = window
-    if not lo <= 0 <= hi:
-        raise ValueError(f"cohomology window [{lo}, {hi}] must contain 0")
-    return lo, hi
-
-
 def _window_entries(table: dict) -> list:
     """``window_table`` output flattened to ``[index, degree, dim]`` rows."""
     return [[i, j, v] for i, row in table.items() for j, v in row.items()]
 
 
 def _flag_rows(window_obj) -> list:
-    rows = []
-    for i in window_obj.indices():
-        fl = window_obj.flag(i)
-        rows.append(
-            {
-                "index": i,
-                "is_zero": fl.is_zero,
-                "finite_length": fl.finite_length,
-                "vanishes_below_minus_one": fl.vanishes_below_minus_one,
-            }
-        )
-    return rows
+    return [{"index": i, **window_obj.flag(i)._asdict()} for i in window_obj.indices()]
 
 
 def _variable_basis(complex: SimplicialComplex, i_polys, J) -> tuple:
@@ -161,10 +145,6 @@ def _variable_basis(complex: SimplicialComplex, i_polys, J) -> tuple:
     if not any(complex.has_face((v,)) for v in b):
         raise ValueError("I is zero in A; the blowup pipeline needs a nonzero ideal")
     return b
-
-
-def _split_data(complex: SimplicialComplex, ring, J, i_polys) -> SplitSRData:
-    return SplitSRData.from_split(complex, _variable_basis(complex, i_polys, J))
 
 
 def _emit(command: str, report: dict, args) -> None:
@@ -194,13 +174,13 @@ def _names(ring: PolyRing, indices) -> list:
 def _cmd_check_iso(spec: dict, args) -> int:
     field = _field_for(spec, args)
     ring, J, i_polys, _ = _problem(spec, field)
-    decision = decide_and_verify(J, i_polys, allow_linear=args.allow_linear)
+    decision = decide_iso(J, i_polys, args.allow_linear)
     report = {
         "command": "check-iso",
         "field": field.name,
         "variables": list(ring.variables),
         "isomorphic": decision.isomorphic,
-        "verified": decision.verified,
+        "verified": False,
         "reason": decision.failure_reason,
         "B": None,
         "C": None,
@@ -210,9 +190,10 @@ def _cmd_check_iso(spec: dict, args) -> int:
     }
     if decision.isomorphic:
         w = decision.witness
-        pres = assoc_graded_presentation(J, [ring.var(i) for i in w.b])
+        verified, pres = _verify_iso_witness(J, w)
         report.update(
             {
+                "verified": verified,
                 "B": _names(ring, w.b),
                 "C": _names(ring, w.c),
                 "JB": [str(g) for g in w.jb.generators],
@@ -223,7 +204,7 @@ def _cmd_check_iso(spec: dict, args) -> int:
     _emit("check-iso", report, args)
     print(f"isomorphic: {str(decision.isomorphic).lower()}")
     if decision.isomorphic:
-        print(f"verified: {str(decision.verified).lower()}")
+        print(f"verified: {str(report['verified']).lower()}")
         print("B:", ", ".join(report["B"]) if report["B"] else "(empty)")
         print("C:", ", ".join(report["C"]) if report["C"] else "(empty)")
         print("kernel:", ", ".join(report["kernel_generators"]) or "(0)")
@@ -236,7 +217,7 @@ def _cmd_presentation(spec: dict, args) -> int:
     field = _field_for(spec, args)
     ring, J, i_polys, _ = _problem(spec, field)
     rees = rees_presentation(J, i_polys)
-    assoc = assoc_graded_presentation(J, i_polys)
+    assoc = _assoc_graded_from_rees(rees)
     report = {
         "command": "presentation",
         "field": field.name,
@@ -282,7 +263,7 @@ def _cmd_hilbert(spec: dict, args) -> int:
 def _cmd_cohomology(spec: dict, args) -> int:
     field = _field_for(spec, args)
     ring, J, i_polys, complex_builder = _problem(spec, field)
-    lo, hi = _require_sr_window(_window_for(spec, args))
+    lo, hi = _window_for(spec, args)
     complex = complex_builder()
     inv = sr_invariants(complex, field)
     invariants = {
@@ -296,7 +277,7 @@ def _cmd_cohomology(spec: dict, args) -> int:
         window = local_cohomology_window(complex, field, lo, hi)
         dim_r = adic = cm_r = None
     else:
-        data = _split_data(complex, ring, J, i_polys)
+        data = SplitSRData.from_split(complex, _variable_basis(complex, i_polys, J))
         window = assemble_rees_cohomology(data, field, lo, hi)
         dim_r = dim_rees(complex, data.b)
         adic = adic_a_invariant(complex, data.b, field)
@@ -333,9 +314,9 @@ def _cmd_cohomology(spec: dict, args) -> int:
 def _cmd_gencm(spec: dict, args) -> int:
     field = _field_for(spec, args)
     ring, J, i_polys, complex_builder = _problem(spec, field)
-    lo, hi = _require_sr_window(_window_for(spec, args))
+    lo, hi = _window_for(spec, args)
     complex = complex_builder()
-    data = _split_data(complex, ring, J, i_polys)
+    data = SplitSRData.from_split(complex, _variable_basis(complex, i_polys, J))
     verdict = decide_gencm(data, field)
     window_a = local_cohomology_window(complex, field, lo, hi)
     window_r = assemble_rees_cohomology(data, field, lo, hi)
@@ -412,41 +393,52 @@ def _build_parser() -> _Parser:
     parser = _Parser(
         prog="gradealg",
         description="Associated graded rings, Rees algebras and their local cohomology.",
+        epilog="""commands:
+  check-iso     decide whether the associated graded ring is isomorphic to A
+  presentation  defining ideals of the Rees algebra and associated graded ring
+  hilbert       bigraded Hilbert table of the associated graded ring
+  cohomology    graded local cohomology tables (module A or R)
+  gencm         decide generalized Cohen-Macaulayness of the Rees ring
+  dim           dimension, depth and a-invariant data
+""",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("check-iso", "decide whether the associated graded ring is isomorphic to A"),
-        ("presentation", "defining ideals of the Rees algebra and associated graded ring"),
-        ("hilbert", "bigraded Hilbert table of the associated graded ring"),
-        ("cohomology", "graded local cohomology tables (module A or R)"),
-        ("gencm", "decide generalized Cohen-Macaulayness of the Rees ring"),
-        ("dim", "dimension, depth and a-invariant data"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", required=True, help="problem description JSON file")
-        p.add_argument("--field", help="override the field: Q or GF(p)")
-        p.add_argument(
-            "--window",
-            help="degree window lo:hi (write --window=-10:2 for negative bounds)",
-        )
-        p.add_argument("--json", help="write the JSON report to this file")
-        p.add_argument(
-            "--allow-linear",
-            action="store_true",
-            help="accept degree-1 generators in the defining ideal",
-        )
-        if name == "cohomology":
-            p.add_argument(
-                "--module",
-                choices=["A", "R"],
-                default="A",
-                help="which module to report on (default A)",
-            )
+    parser.add_argument(
+        "command", choices=_HANDLERS, metavar="command", help="one of the commands below"
+    )
+    parser.add_argument("--input", required=True, help="problem description JSON file")
+    parser.add_argument("--field", help="override the field: Q or GF(p)")
+    parser.add_argument(
+        "--window",
+        help="degree window lo:hi (write --window=-10:2 for negative bounds)",
+    )
+    parser.add_argument("--json", help="write the JSON report to this file")
+    parser.add_argument(
+        "--allow-linear",
+        action="store_true",
+        help="accept degree-1 generators in the defining ideal",
+    )
+    parser.add_argument(
+        "--module",
+        choices=["A", "R"],
+        help="cohomology only: which module to report on (default A)",
+    )
     return parser
 
 
+def _parse_args(argv):
+    """Parsed argv; ``--module`` defaults to A for cohomology only."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "cohomology":
+        args.module = args.module or "A"
+    elif args.module is not None:
+        parser.error("--module applies to the cohomology command only")
+    return args
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         spec = _load_spec(args.input)
         return _HANDLERS[args.command](spec, args)

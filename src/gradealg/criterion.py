@@ -105,6 +105,7 @@ def split_check(J: Ideal, b: Sequence[int]) -> Optional[SplitWitness]:
 
 
 def _validate_problem(J: Ideal, I: Ideal, allow_linear: bool):
+    """Syntactic checks first, then the two that need a Groebner basis."""
     if not J.homogeneous:
         raise ValueError("J must be homogeneous")
     for g in I.generators:
@@ -112,19 +113,19 @@ def _validate_problem(J: Ideal, I: Ideal, allow_linear: bool):
             raise ValueError("I needs homogeneous generators of positive degree")
     if not I.generators:
         raise ValueError("I must be nonzero")
+    linear = [g for g in J.generators if g.total_degree() == 1]
+    message = (
+        f"J has degree-1 generators ({', '.join(map(str, linear))}); "
+        "the variable count is not reduced automatically and the "
+        "canonical B may lose uniqueness"
+    )
+    if linear and not allow_linear:
+        raise ValueError(message + " (pass allow_linear=True to proceed)")
     if groebner_basis(ideal_sum(I, J)).is_unit():
         raise ValueError("I is the unit ideal modulo J")
     if all(ideal_member(g, J) for g in I.generators):
         raise ValueError("I is zero modulo J")
-    linear = [g for g in J.generators if g.total_degree() == 1]
     if linear:
-        message = (
-            f"J has degree-1 generators ({', '.join(map(str, linear))}); "
-            "the variable count is not reduced automatically and the "
-            "canonical B may lose uniqueness"
-        )
-        if not allow_linear:
-            raise ValueError(message + " (pass allow_linear=True to proceed)")
         warnings.warn(message)
 
 
@@ -147,6 +148,11 @@ def verify_iso_witness(J: Ideal, witness: SplitWitness) -> bool:
     Computes the full associated graded presentation for I = (x_i : i in B)
     and checks its defining ideal equals (X_B) + sigma(JB) + JC.
     """
+    return _verify_iso_witness(J, witness)[0]
+
+
+def _verify_iso_witness(J: Ideal, witness: SplitWitness) -> tuple:
+    """``verify_iso_witness`` with the presentation it checked: ``(ok, pres)``."""
     S = J.ring
     f = [S.var(i) for i in witness.b]
     pres = assoc_graded_presentation(J, f)
@@ -156,7 +162,7 @@ def verify_iso_witness(J: Ideal, witness: SplitWitness) -> bool:
         + [g.rename_into(xy, witness.sigma) for g in witness.jb.generators]
         + [g.rename_into(xy) for g in witness.jc.generators]
     )
-    return ideal_equal(pres.defining, Ideal(xy, expected))
+    return ideal_equal(pres.defining, Ideal(xy, expected)), pres
 
 
 def decide_and_verify(J: Ideal, i_gens, allow_linear: bool = False) -> IsoDecision:

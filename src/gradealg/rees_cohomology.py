@@ -48,6 +48,7 @@ from .simplicial import (
     CohomologyWindow,
     IndexFlags,
     SimplicialComplex,
+    _profile,
     local_cohomology_window,
     restrict_complex,
     sr_invariants,
@@ -207,9 +208,7 @@ def adic_a_invariant(
     None when the top cohomology vanishes (impossible for a face ring).
     """
     b = frozenset(b)
-    window = local_cohomology_window(complex, field, lo=0, hi=0)
-    d = complex.dim + 1
-    faces = (window.contrib_faces or {}).get(d, ())
+    faces = _profile(complex, field)[1].get(complex.dim + 1, ())
     if not faces:
         return None
     return -min(len(s & b) for s, _ in faces)
@@ -285,11 +284,11 @@ def decide_gencm(data: SplitSRData, field) -> GenCMVerdict:
     top = data.complex.dim + 1
     contained = all(not (f & b) for f in data.complex.facets if len(f) == top)
 
-    w1 = local_cohomology_window(data.factor_b, field, lo=0, hi=0)
-    w2 = local_cohomology_window(data.factor_c, field, lo=0, hi=0)
+    contrib1, _ = _profile(data.factor_b, field)
+    contrib2, _ = _profile(data.factor_c, field)
     a1_negative = inv1.a_invariant is not None and inv1.a_invariant < 0
-    below1 = d1 == 0 or w1.flag(d1 - 1).vanishes_below_minus_one
-    zero2 = d2 == 0 or w2.flag(d2 - 1).is_zero
+    below1 = d1 == 0 or all(s == 0 for s in contrib1.get(d1 - 1, {}))
+    zero2 = d2 == 0 or not contrib2.get(d2 - 1)
 
     evidence: Dict[str, object] = {
         "I_in_all_top_primes": contained,

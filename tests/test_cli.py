@@ -348,3 +348,49 @@ def test_failed_self_check_is_an_internal_error(monkeypatch, capsys):
     assert main(["gencm", "--input", str(DATA / "path.json")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("internal error: ") and err.count("\n") == 1
+
+
+def test_presentation_validates_its_input_once(monkeypatch):
+    from gradealg import blowup
+
+    calls = []
+    original = blowup.ideal_member
+
+    def counting(g, ideal):
+        calls.append(g)
+        return original(g, ideal)
+
+    monkeypatch.setattr(blowup, "ideal_member", counting)
+    assert main(["presentation", "--input", str(DATA / "twopoints.json")]) == 0
+    assert [str(g) for g in calls] == ["x1", "x2"]
+
+
+def test_check_iso_builds_one_presentation(monkeypatch):
+    from gradealg import blowup
+
+    calls = []
+    original = blowup._rees_presentation
+
+    def counting(J, f, y_names):
+        calls.append(f)
+        return original(J, f, y_names)
+
+    monkeypatch.setattr(blowup, "_rees_presentation", counting)
+    assert main(["check-iso", "--input", str(DATA / "split.json")]) == 0
+    assert len(calls) == 1
+
+
+def test_linear_generator_is_rejected_before_any_basis(tmp_path, monkeypatch, capsys):
+    from gradealg import criterion, groebner
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Groebner basis was computed")
+
+    monkeypatch.setattr(groebner, "groebner_basis", refuse)
+    monkeypatch.setattr(criterion, "groebner_basis", refuse)
+    # I is also zero modulo J, which only a basis shows: the syntactic
+    # message comes first
+    spec = {"variables": ["x1", "x2"], "J": ["x1 - x2", "x1"], "I": ["x2"]}
+    assert main(["check-iso", "--input", _write_spec(tmp_path, spec)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: J has degree-1 generators (x1 - x2, x1)")
