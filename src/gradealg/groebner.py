@@ -9,27 +9,38 @@ canonically sorted before the run, so two runs on shuffled generator lists
 produce identical results.
 
 Inside a run, and inside ``GroebnerBasis.normal_form``, a polynomial is a
-list of (monomial, coefficient) terms with plain coefficients: ints in
-[0, p) over GF(p), ``Fraction`` over Q. Each monomial's order key is
-computed once per run, negated so that a heap pops the largest monomial
-first. Division reduces into one mutable dict with such a heap; pending
-pairs sit in a heap keyed by (lcm degree, i, j). Only the returned basis is
-built back into ``Polynomial`` objects. The kernel is exact: it uses field
-operations only (no floats, no reduction mod a prime over Q), and since a
-reduced basis is unique it returns exactly what a ``Polynomial``-level
-engine returns (``tests/slow_groebner.py`` is that engine, kept as oracle).
+list of (monomial, coefficient) terms with plain int coefficients: residues
+in [0, p) over GF(p), and over Q an integer multiple of the polynomial, so
+no ``Fraction`` enters the run. Division is fraction-free over Q: reducers
+are primitive integer polynomials, and a reduction step multiplies the
+accumulator by a nonzero integer before it subtracts an integer multiple of
+a reducer (see ``_Reducer``). Input denominators are cleared once, and the
+returned basis is made monic once, at the end. Each monomial's
+``order.desc_key`` is computed once per run, so that a heap pops the largest
+monomial first. Division reduces into one mutable dict with such a heap;
+pending pairs sit in a heap keyed by (lcm degree, i, j). Only the returned basis is
+built back into ``Polynomial`` objects. The kernel is exact: no floats, no
+reduction mod a prime over Q; and since a reduced basis is unique it returns
+exactly what a ``Polynomial``-level engine returns (``tests/slow_groebner.py``
+is that engine, kept as oracle).
+
+Reduction work is counted deterministically; one Buchberger run, or one
+normal form, that exceeds ``MAX_REDUCTION_WORK`` raises ``LimitExceeded``.
 
 Reduced bases are cached per (generator set, order) in a bounded LRU cache
 of ``GB_CACHE_SIZE`` entries. What the cache holds is immutable, except that
-a basis keeps its plain-term tails once a normal form has needed them.
+a basis keeps its integer reducers once a normal form has needed them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement
+from math import gcd
 from operator import add, le, sub
 from typing import Sequence
 
@@ -42,6 +53,10 @@ GB_CACHE_SIZE = 256
 # Work budget of ``count_standard_monomials``: the most monomials one call
 # counts. Every Hilbert function and bigraded Hilbert table goes through it.
 MAX_STANDARD_MONOMIALS = 10**6
+# Work budget of one Buchberger run and of one normal form: the most
+# reduction work ``_Reducer`` does (tail terms subtracted, weighted by
+# coefficient size over Q; see ``_Reducer``).
+MAX_REDUCTION_WORK = 10**7
 
 
 class Ideal:
@@ -86,67 +101,74 @@ class Ideal:
         return f"({', '.join(str(g) for g in self.generators) or '0'})"
 
 
-def _canon_key(g: Polynomial, order):
-    terms = g.sorted_terms(order)
-    return (
-        order.key(terms[0][0]),
-        tuple(order.key(m) for m, _ in terms),
-        str(g),
-    )
-
-
-def _negated(key):
-    """Reverse a key's order: negate every int of a fixed-shape nested tuple."""
-    return tuple(map(_negated, key)) if isinstance(key, tuple) else -key
-
-
-def _plain(f: Polynomial) -> dict:
-    """f's terms with plain coefficients: ints in [0, p), or ``Fraction``."""
+def _plain(f: Polynomial) -> tuple:
+    """(d, terms): the terms of d*f with plain int coefficients. Over GF(p)
+    d is 1 and the coefficients are residues in [0, p); over Q d is the lcm
+    of f's denominators."""
     field = f.ring.field
     if field.characteristic:
-        return {m: field(c).value for m, c in f.terms.items()}
-    return {m: field(c) for m, c in f.terms.items()}
+        return 1, {m: field(c).value for m, c in f.terms.items()}
+    d = math.lcm(*(c.denominator for c in f.terms.values()))
+    return d, {m: c.numerator * (d // c.denominator) for m, c in f.terms.items()}
 
 
-def _polynomial(ring: PolyRing, terms) -> Polynomial:
+def _polynomial(ring: PolyRing, terms, d: int) -> Polynomial:
+    """The polynomial of plain int terms divided by d (1 over GF(p))."""
     p = ring.field.characteristic
-    return Polynomial(ring, {m: GFElement(c, p) for m, c in terms} if p else dict(terms))
+    if p:
+        return Polynomial(ring, {m: GFElement(c, p) for m, c in terms})
+    return Polynomial(ring, {m: Fraction(c, d) for m, c in terms})
+
+
+def _normalized(terms: list, p: int) -> list:
+    """A nonzero term list, largest term first, made monic over GF(p) and
+    primitive with a positive leading coefficient over Q (p = 0)."""
+    c = terms[0][1]
+    if p:
+        inv = pow(c, p - 2, p)
+        return [(m, a * inv % p) for m, a in terms]
+    g = gcd(*(a for _, a in terms))
+    return [(m, a // g) for m, a in terms] if c > 0 else [(m, -a // g) for m, a in terms]
 
 
 class _Reducer:
-    """Full division by monic reducers on plain terms, one per run.
+    """Fraction-free full division on plain int terms, one per run.
 
-    A reducer is its leading monomial and its tail, a list of (monomial,
-    coeff) pairs; reducers are tried in list order. ``keys`` memoizes the
-    negated order key of each monomial met, so a heap of them pops the
-    largest; ``first`` memoizes the first reducer dividing a monomial, which
-    stays valid while reducers are only appended.
+    A reducer is its leading monomial, its leading coefficient and its tail,
+    a list of (monomial, coeff) pairs; reducers are tried in list order.
+    Over GF(p) a reducer is monic. Over Q it is a primitive integer
+    polynomial with a positive leading coefficient, so no denominators
+    appear. ``keys`` memoizes the descending key of each monomial met, so a
+    heap of them pops the largest; ``first`` memoizes the first reducer
+    dividing a monomial, which stays valid while reducers are only appended.
+
+    ``work`` counts reduction work, one step at a time: the tail terms each
+    step subtracts, plus the accumulator terms it rescales over Q, each
+    weighted by 1 + the step's accumulator coefficient's bit length // 256
+    (1 over GF(p)), about the cost of one small-int term operation. It
+    depends only on the input, never on the host. Past
+    ``MAX_REDUCTION_WORK`` the run raises ``LimitExceeded``.
     """
 
-    def __init__(self, ring: PolyRing, order, lms=None, tails=None):
+    def __init__(self, ring: PolyRing, order, reducers=None):
         self.p = ring.field.characteristic
         self.order = order
-        self.lms = [] if lms is None else lms
-        self.tails = [] if tails is None else tails
+        self.lms, self.lcs, self.tails = reducers or ([], [], [])
         self.keys = {}
         self.first = {}
+        self.work = 0
 
     def nkey(self, m):
         k = self.keys.get(m)
         if k is None:
-            k = self.keys[m] = _negated(self.order.key(m))
+            k = self.keys[m] = self.order.desc_key(m)
         return k
 
-    def add_monic(self, terms: list) -> None:
-        """Append the monic multiple of a term list, largest term first."""
-        p, c = self.p, terms[0][1]
-        if p:
-            inv = pow(c, p - 2, p)
-            tail = [(m, a * inv % p) for m, a in terms[1:]]
-        else:
-            tail = [(m, a / c) for m, a in terms[1:]]
+    def add(self, terms) -> None:
+        """Append a reducer given by its ``_normalized`` term list."""
         self.lms.append(terms[0][0])
-        self.tails.append(tail)
+        self.lcs.append(terms[0][1])
+        self.tails.append(terms[1:])
 
     def divisor(self, m) -> int:
         i, start = self.first.get(m, (-1, 0))
@@ -160,13 +182,22 @@ class _Reducer:
         self.first[m] = (-1, len(lms))
         return -1
 
-    def reduce(self, h: dict) -> list:
-        """Remainder of the polynomial in the accumulator ``h`` (monomial ->
-        coeff, emptied on the way), as a term list, largest term first."""
-        p, lms, tails, divisor, nkey = self.p, self.lms, self.tails, self.divisor, self.nkey
+    def reduce(self, h: dict) -> tuple:
+        """(rem, scale) for the polynomial in the accumulator ``h`` (monomial
+        -> int coeff, emptied on the way): ``rem`` is the remainder times the
+        positive int ``scale`` (1 over GF(p)), as a term list, largest first.
+
+        To cancel c*m by a reducer with leading coefficient b, the
+        accumulator is multiplied by b/g and (c/g)*t*tail subtracted, with
+        g = gcd(c, b). Terms already in ``rem`` missed the later factors;
+        they get them at the end.
+        """
+        p, lms, lcs, tails, divisor, nkey = (
+            self.p, self.lms, self.lcs, self.tails, self.divisor, self.nkey
+        )
         heap = [(nkey(m), m) for m in h]
         heapify(heap)
-        rem = []
+        rem, marks, work = [], [], self.work
         while heap:
             m = heappop(heap)[1]
             c = h.pop(m)
@@ -178,8 +209,24 @@ class _Reducer:
             if i < 0:
                 rem.append((m, c))
                 continue
+            tail, b = tails[i], lcs[i]
+            weight = 1 + (c.bit_length() >> 8)
+            work += len(tail) * weight
+            if b != 1:  # never over GF(p)
+                g = gcd(c, b)
+                c //= g
+                if b != g:
+                    s = b // g
+                    for mm in h:
+                        h[mm] *= s
+                    marks.append((len(rem), s))
+                    work += len(h) * weight
+            if work > MAX_REDUCTION_WORK:
+                raise LimitExceeded(
+                    f"Groebner basis reduction work {work} exceeds {MAX_REDUCTION_WORK}"
+                )
             t = tuple(map(sub, m, lms[i]))
-            for gm, a in tails[i]:
+            for gm, a in tail:
                 mm = tuple(map(add, gm, t))
                 v = h.get(mm)
                 if v is None:
@@ -187,7 +234,16 @@ class _Reducer:
                     heappush(heap, (nkey(mm), mm))
                 else:
                     h[mm] = v - c * a
-        return rem
+        self.work = work
+        # a term emitted before a rescaling missed its factor s: walking the
+        # marks back, rem[n:end] needs the product f of the later factors,
+        # and in the end f is the product of them all, the scale
+        f, end = 1, len(rem)
+        for n, s in reversed([(0, 1)] + marks):
+            if f != 1:
+                rem[n:end] = [(m, a * f) for m, a in rem[n:end]]
+            f, end = f * s, n
+        return rem, f
 
 
 def buchberger(generators: Sequence[Polynomial], order=GREVLEX) -> list:
@@ -196,12 +252,21 @@ def buchberger(generators: Sequence[Polynomial], order=GREVLEX) -> list:
     if not gens:
         return []
     ring = gens[0].ring
-    work = sorted(set(g.monic(order) for g in gens), key=lambda g: _canon_key(g, order))
-
     red = _Reducer(ring, order)
-    lms, tails, nkey = red.lms, red.tails, red.nkey
-    for g in work:
-        red.add_monic(sorted(_plain(g).items(), key=lambda mc: nkey(mc[0])))
+    p, lms, lcs, tails, nkey = red.p, red.lms, red.lcs, red.tails, red.nkey
+    # the generators' normalized multiples, repeats dropped, in a canonical
+    # order, so that shuffled generator lists give the same run: ascending
+    # in the order term by term (a prefix first, as ``last`` sorts after
+    # every descending key), then by coefficients
+    normal = {
+        tuple(_normalized(sorted(_plain(g)[1].items(), key=lambda mc: nkey(mc[0])), p))
+        for g in gens
+    }
+    last = (math.inf,)
+    for terms in sorted(
+        normal, key=lambda t: ([nkey(m) for m, _ in t] + [last], [c for _, c in t]), reverse=True
+    ):
+        red.add(terms)
     pending = {}  # pair -> lcm of the two leading monomials
     pairs = []  # heap of (lcm degree, i, j): the normal selection
 
@@ -227,15 +292,18 @@ def buchberger(generators: Sequence[Polynomial], order=GREVLEX) -> list:
             for k in range(len(lms))
         ):
             continue  # chain criterion
-        # S-polynomial: the leading terms cancel, so only the tails enter
+        # S-polynomial (lc_j/g)*t_i*g_i - (lc_i/g)*t_j*g_j: the leading terms
+        # cancel, so only the tails enter
+        g = gcd(lcs[i], lcs[j])
+        ui, uj = lcs[j] // g, lcs[i] // g
         ti, tj = tuple(map(sub, lcm, lms[i])), tuple(map(sub, lcm, lms[j]))
-        h = {tuple(map(add, m, ti)): a for m, a in tails[i]}
+        h = {tuple(map(add, m, ti)): ui * a for m, a in tails[i]}
         for m, a in tails[j]:
             m = tuple(map(add, m, tj))
-            h[m] = h.get(m, 0) - a
-        r = red.reduce(h)
+            h[m] = h.get(m, 0) - uj * a
+        r = red.reduce(h)[0]
         if r:
-            red.add_monic(r)
+            red.add(_normalized(r, p))
             add_pairs(len(lms) - 1)
 
     # minimal basis: visit by ascending leading monomial, keep an element only
@@ -245,36 +313,40 @@ def buchberger(generators: Sequence[Polynomial], order=GREVLEX) -> list:
         if not any(all(map(le, lms[j], lms[i])) for j in keep):
             keep.append(i)
     # the reducers form a Groebner basis and a remainder modulo a basis is
-    # unique, so reducing each kept tail once gives the reduced basis
-    one = 1 if red.p else ring.field.one
-    return [
-        _polynomial(ring, [(lms[i], one)] + red.reduce(dict(tails[i])))
-        for i in reversed(keep)
-    ]
+    # unique, so reducing each kept tail once gives the reduced basis; it is
+    # made monic here, the only division over Q
+    basis = []
+    for i in reversed(keep):
+        rem, scale = red.reduce(dict(tails[i]))
+        d = scale * lcs[i]
+        basis.append(_polynomial(ring, [(lms[i], d)] + rem, d))
+    return basis
 
 
 class GroebnerBasis:
     """A reduced Groebner basis frozen together with its order."""
 
-    __slots__ = ("ring", "order", "polys", "lms", "_tails")
+    __slots__ = ("ring", "order", "polys", "lms", "_reducers")
 
     def __init__(self, ring: PolyRing, order, polys: Sequence[Polynomial]):
         self.ring = ring
         self.order = order
         self.polys = tuple(polys)
         self.lms = tuple(g.leading_monomial(order) for g in self.polys)
-        self._tails = None
+        self._reducers = None
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
             raise AmbientMismatch("polynomial outside the basis ring")
-        if self._tails is None:
-            self._tails = tuple(
-                [mc for mc in _plain(g).items() if mc[0] != lm]
-                for lm, g in zip(self.lms, self.polys)
-            )
-        red = _Reducer(self.ring, self.order, self.lms, self._tails)
-        return _polynomial(self.ring, red.reduce(_plain(f)))
+        if self._reducers is None:
+            red = _Reducer(self.ring, self.order)
+            for lm, g in zip(self.lms, self.polys):
+                terms = _plain(g)[1]
+                red.add(_normalized([(lm, terms.pop(lm))] + list(terms.items()), red.p))
+            self._reducers = (red.lms, red.lcs, red.tails)
+        d, h = _plain(f)
+        rem, scale = _Reducer(self.ring, self.order, self._reducers).reduce(h)
+        return _polynomial(self.ring, rem, scale * d)
 
     def contains(self, f: Polynomial) -> bool:
         return not self.normal_form(f)

@@ -7,7 +7,10 @@ lets Groebner results be cached by value elsewhere.
 
 Monomial orders are key objects: ``order.key(mon)`` is a tuple that sorts
 ascending in the order, so ``max(terms, key=order.key)`` is the leading
-monomial. grevlex, lex and block orders (for elimination) are provided.
+monomial; ``order.desc_key(mon)`` is a flat tuple of ints that sorts
+descending, the key's every entry negated, so a min-heap of them pops the
+largest monomial first. grevlex, lex and block orders (for elimination) are
+provided.
 """
 
 from __future__ import annotations
@@ -72,6 +75,9 @@ class GrevlexOrder:
     def key(self, mon: Monomial):
         return (sum(mon), tuple(-e for e in reversed(mon)))
 
+    def desc_key(self, mon: Monomial):
+        return (-sum(mon),) + mon[::-1]
+
     def __eq__(self, other):
         return isinstance(other, GrevlexOrder)
 
@@ -89,6 +95,9 @@ class LexOrder:
 
     def key(self, mon: Monomial):
         return mon
+
+    def desc_key(self, mon: Monomial):
+        return tuple(-e for e in mon)
 
     def __eq__(self, other):
         return isinstance(other, LexOrder)
@@ -122,6 +131,13 @@ class BlockOrder:
             (sum(mon[i] for i in b), tuple(-mon[i] for i in reversed(b)))
             for b in self.blocks
         )
+
+    def desc_key(self, mon: Monomial):
+        out = []
+        for b in self.blocks:
+            out.append(-sum(mon[i] for i in b))
+            out.extend(mon[i] for i in reversed(b))
+        return tuple(out)
 
     def __eq__(self, other):
         return isinstance(other, BlockOrder) and other.blocks == self.blocks

@@ -9,8 +9,16 @@ kernel must return exactly what this returns.
 
 from itertools import combinations
 
-from gradealg.groebner import _canon_key
 from gradealg.polynomials import GREVLEX, Polynomial, mon_div, mon_divides, mon_lcm, mon_mul
+
+
+def _canon_key(g: Polynomial, order):
+    terms = g.sorted_terms(order)
+    return (
+        order.key(terms[0][0]),
+        tuple(order.key(m) for m, _ in terms),
+        str(g),
+    )
 
 
 def reduce_full(f: Polynomial, basis, order) -> Polynomial:

@@ -267,3 +267,51 @@ def test_basis_cache_is_bounded():
 
     assert _cached_gb.cache_info().maxsize == GB_CACHE_SIZE
     assert 0 < GB_CACHE_SIZE < float("inf")
+
+
+def _katsura3(field):
+    r = ring("u0,u1,u2,u3,h", field)
+    return Ideal.parse(r, [
+        "u0 + 2*u1 + 2*u2 + 2*u3 - h",
+        "u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 - u0*h",
+        "2*u0*u1 + 2*u1*u2 + 2*u2*u3 - u1*h",
+        "2*u0*u2 + u1^2 + 2*u1*u3 - u2*h",
+    ])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)])
+def test_reduction_work_budget(monkeypatch, field):
+    from gradealg import groebner
+
+    ideal = _katsura3(field)
+    monkeypatch.setattr(groebner, "MAX_REDUCTION_WORK", 50)
+    messages = []
+    for _ in range(2):
+        groebner._cached_gb.cache_clear()
+        with pytest.raises(LimitExceeded, match="reduction work") as exc:
+            groebner_basis(ideal)
+        messages.append(str(exc.value))
+    # the count is deterministic: two runs stop at the same work
+    assert messages[0] == messages[1]
+    assert int(messages[0].split("work ")[1].split()[0]) > 50
+    groebner._cached_gb.cache_clear()
+    monkeypatch.setattr(groebner, "MAX_REDUCTION_WORK", 10**7)
+    assert len(groebner_basis(ideal)) > 0
+
+
+def test_reduction_work_budget_exits_2(monkeypatch, capsys):
+    from pathlib import Path
+
+    from gradealg import cli, groebner
+
+    spec = str(Path(__file__).parent / "data" / "cyclic6_q.json")
+    monkeypatch.setattr(groebner, "MAX_REDUCTION_WORK", 1000)
+    errors = []
+    for _ in range(2):
+        groebner._cached_gb.cache_clear()
+        assert cli.main(["presentation", "--input", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert "reduction work" in errors[0]
+    assert errors[0] == errors[1]

@@ -1,6 +1,8 @@
 """Differential tests: the term-list Buchberger kernel against the
 ``Polynomial``-object engine in ``tests/slow_groebner.py``."""
 
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,6 +47,43 @@ def test_kernel_matches_polynomial_engine(field, order, gens, probes):
     basis = buchberger(gens, order)
     expected = slow_groebner.buchberger(gens, order)
     assert basis == expected
+    assert list(map(str, basis)) == list(map(str, expected))
+    frozen = GroebnerBasis(ring, order, basis)
+    for f in [_poly(ring, t) for t in probes] + gens:
+        assert frozen.normal_form(f) == slow_groebner.normal_form(f, basis, order)
+
+
+# Rationals with numerators up to 10^12 and denominators up to 10^6: the
+# leading coefficients are almost never 1, so the kernel's integer scaling,
+# content removal and final division by scale and denominators are all
+# exercised, which small integers rarely do. Two generators with exponents
+# below 3: with such coefficients, larger systems can grow intermediate
+# coefficients to thousands of digits (one block-order pair of degree 6
+# took the parent's Fraction kernel 22 s), which takes the Fraction oracle
+# minutes and exhausts the kernel's reduction work budget.
+_HARD_TERMS = st.lists(
+    st.tuples(
+        st.tuples(*[st.integers(0, 2)] * 3),
+        st.builds(
+            Fraction, st.integers(-10**12, 10**12).filter(bool), st.integers(1, 10**6)
+        ),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    order=st.sampled_from(ORDERS),
+    gens=st.lists(_HARD_TERMS, min_size=1, max_size=2),
+    probes=st.lists(_HARD_TERMS, min_size=1, max_size=3),
+)
+def test_kernel_matches_on_hard_rational_coefficients(order, gens, probes):
+    ring = PolyRing(("x", "y", "z"), QQ)
+    gens = [_poly(ring, t) for t in gens]
+    basis = buchberger(gens, order)
+    expected = slow_groebner.buchberger(gens, order)
     assert list(map(str, basis)) == list(map(str, expected))
     frozen = GroebnerBasis(ring, order, basis)
     for f in [_poly(ring, t) for t in probes] + gens:

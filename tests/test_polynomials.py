@@ -79,6 +79,13 @@ def test_elimination_order_blocks():
     ) > order.key((0, 1, 1))
 
 
+def test_desc_key_sorts_descending():
+    rng = random.Random(7)
+    mons = {tuple(rng.randrange(4) for _ in range(4)) for _ in range(200)}
+    for order in (GREVLEX, LEX, elimination_order([1, 3], 4), elimination_order([0], 4)):
+        assert sorted(mons, key=order.desc_key) == sorted(mons, key=order.key, reverse=True)
+
+
 def random_poly(rng, R, max_terms=6, max_exp=4):
     terms = {}
     for _ in range(rng.randrange(1, max_terms + 1)):
