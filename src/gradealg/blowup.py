@@ -22,13 +22,14 @@ from .groebner import (
     Ideal,
     POWER_BOUND,
     count_standard_monomials,
+    elimination_ideal,
     groebner_basis,
     hilbert_function,
     ideal_member,
     ideal_power,
     ideal_sum,
 )
-from .polynomials import BlockOrder, PolyRing, Polynomial
+from .polynomials import PolyRing, Polynomial
 
 LEVEL_BOUND = 8
 DEGREE_BOUND = 8
@@ -125,13 +126,10 @@ def _rees_presentation(J: Ideal, f: tuple, y_names) -> ReesPresentation:
     for j, fj in enumerate(f):
         gens.append(big.var(n + j) - fj.rename_into(big) * t)
 
-    elim = BlockOrder(((big.nvars - 1,), tuple(range(big.nvars - 1))))
-    gb = groebner_basis(Ideal(big, gens), elim)
-    kept = [g for g in gb if all(m[-1] == 0 for m in g.terms)]
-
+    kept = elimination_ideal(Ideal(big, gens), range(big.nvars - 1)).generators
+    # t is the last variable and absent from kept: drop its exponent
     xy = PolyRing(S.variables + y_names, S.field)
-    drop_t = [xy.var(i) for i in range(xy.nvars)] + [xy.zero]
-    kept_xy = [g.map_into(xy, drop_t) for g in kept]
+    kept_xy = [Polynomial(xy, {m[:-1]: c for m, c in g.terms.items()}) for g in kept]
     defining = Ideal(xy, list(groebner_basis(Ideal(xy, kept_xy))))
 
     return ReesPresentation(

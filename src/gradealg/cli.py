@@ -5,6 +5,14 @@ plain-text summary to stdout and optionally writes a JSON report. Exit
 codes are stable across commands: 0 for success or an affirmative
 decision, 3 for a negative decision, 1 for input errors, 2 when an
 internal limit is exceeded, 4 when an internal self-check fails.
+
+``main`` runs every request: it loads and validates the problem
+description, parses the field, builds the ``_Problem`` and calls the
+command's handler in ``_COMMANDS`` with the problem, the description and
+the parsed arguments. The handler returns ``(fields, lines, code)``: the
+report fields past the ``command``/``field``/``variables`` envelope, the
+stdout lines and the exit code. ``main`` adds the envelope, validates the
+report against its output schema, writes ``--json`` and prints the lines.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ import json
 import re
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import jsonschema
 
@@ -47,43 +56,16 @@ from .simplicial import (
 )
 
 
-def _normalize_field_label(text: str) -> str:
-    s = text.strip()
-    if s in ("Q", "QQ"):
-        return "Q"
-    m = re.fullmatch(r"GF\(?([0-9]+)\)?", s)
-    if m:
-        return f"GF({m.group(1)})"
-    raise ValueError(f"unknown field {text!r}; expected Q or GF(p)")
-
-
-def _parse_window_text(text: str) -> tuple:
-    m = re.fullmatch(r"(-?[0-9]+):(-?[0-9]+)", text.strip())
-    if not m:
-        raise ValueError(f"bad window {text!r}; expected lo:hi")
-    lo, hi = int(m.group(1)), int(m.group(2))
-    if lo > hi:
-        raise ValueError(f"empty window {text!r}")
-    return lo, hi
-
-
-def _load_spec(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        spec = json.load(fh)
-    validate_input(spec)
-    return spec
-
-
-def _field_for(spec: dict, args) -> object:
-    label = args.field if args.field else spec.get("field", "Q")
-    return parse_field(_normalize_field_label(label))
-
-
 def _window_for(spec: dict, args) -> tuple:
     """The cohomology window, which must contain 0: ``--window``, else the
     file's, else the default."""
     if args.window:
-        lo, hi = _parse_window_text(args.window)
+        m = re.fullmatch(r"(-?[0-9]+):(-?[0-9]+)", args.window.strip())
+        if not m:
+            raise ValueError(f"bad window {args.window!r}; expected lo:hi")
+        lo, hi = int(m.group(1)), int(m.group(2))
+        if lo > hi:
+            raise ValueError(f"empty window {args.window!r}")
     else:
         lo, hi = spec.get("options", {}).get("window", DEFAULT_WINDOW)
         if lo > hi:
@@ -116,7 +98,16 @@ def _minimal_nonface_ideal(ring: PolyRing, complex: SimplicialComplex) -> Ideal:
     )
 
 
-def _problem(spec: dict, field):
+class _Problem(NamedTuple):
+    """A problem's ring, J and I; its complex is built only where needed."""
+
+    ring: PolyRing
+    J: Ideal
+    i_polys: list
+    complex_builder: Callable[[], SimplicialComplex]
+
+
+def _problem(spec: dict, field) -> _Problem:
     ring = PolyRing(tuple(spec["variables"]), field)
     if "J" in spec:
         J = Ideal.parse(ring, spec["J"])
@@ -126,7 +117,7 @@ def _problem(spec: dict, field):
         J = _minimal_nonface_ideal(ring, cx)
         complex_builder = lambda: cx
     i_polys = [ring.parse(t) for t in spec["I"]]
-    return ring, J, i_polys, complex_builder
+    return _Problem(ring, J, i_polys, complex_builder)
 
 
 def _window_entries(table: dict) -> list:
@@ -138,20 +129,13 @@ def _flag_rows(window_obj) -> list:
     return [{"index": i, **window_obj.flag(i)._asdict()} for i in window_obj.indices()]
 
 
-def _variable_basis(complex: SimplicialComplex, i_polys, J) -> tuple:
-    b = variable_subset_basis(i_polys, J)
+def _variable_basis(problem: _Problem, complex: SimplicialComplex) -> tuple:
+    b = variable_subset_basis(problem.i_polys, problem.J)
     if b is None:
         raise ValueError("I is not generated by variable images modulo J")
     if not any(complex.has_face((v,)) for v in b):
         raise ValueError("I is zero in A; the blowup pipeline needs a nonzero ideal")
     return b
-
-
-def _emit(command: str, report: dict, args) -> None:
-    validate_output(command, report)
-    if args.json:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        Path(args.json).write_text(text, encoding="utf-8")
 
 
 def _presentation_block(pres) -> dict:
@@ -171,14 +155,9 @@ def _names(ring: PolyRing, indices) -> list:
     return [ring.variables[i] for i in indices]
 
 
-def _cmd_check_iso(spec: dict, args) -> int:
-    field = _field_for(spec, args)
-    ring, J, i_polys, _ = _problem(spec, field)
-    decision = decide_iso(J, i_polys, args.allow_linear)
+def _cmd_check_iso(problem: _Problem, spec: dict, args) -> tuple:
+    decision = decide_iso(problem.J, problem.i_polys, args.allow_linear)
     report = {
-        "command": "check-iso",
-        "field": field.name,
-        "variables": list(ring.variables),
         "isomorphic": decision.isomorphic,
         "verified": False,
         "reason": decision.failure_reason,
@@ -188,83 +167,65 @@ def _cmd_check_iso(spec: dict, args) -> int:
         "JC": None,
         "kernel_generators": None,
     }
-    if decision.isomorphic:
-        w = decision.witness
-        verified, pres = _verify_iso_witness(J, w)
-        report.update(
-            {
-                "verified": verified,
-                "B": _names(ring, w.b),
-                "C": _names(ring, w.c),
-                "JB": [str(g) for g in w.jb.generators],
-                "JC": [str(g) for g in w.jc.generators],
-                "kernel_generators": [str(g) for g in pres.defining.generators],
-            }
-        )
-    _emit("check-iso", report, args)
-    print(f"isomorphic: {str(decision.isomorphic).lower()}")
-    if decision.isomorphic:
-        print(f"verified: {str(report['verified']).lower()}")
-        print("B:", ", ".join(report["B"]) if report["B"] else "(empty)")
-        print("C:", ", ".join(report["C"]) if report["C"] else "(empty)")
-        print("kernel:", ", ".join(report["kernel_generators"]) or "(0)")
-    else:
-        print(f"reason: {decision.failure_reason}")
-    return 0 if decision.isomorphic else 3
+    if not decision.isomorphic:
+        return report, ["isomorphic: false", f"reason: {decision.failure_reason}"], 3
+    w = decision.witness
+    verified, pres = _verify_iso_witness(problem.J, w)
+    report.update(
+        verified=verified,
+        B=_names(problem.ring, w.b),
+        C=_names(problem.ring, w.c),
+        JB=[str(g) for g in w.jb.generators],
+        JC=[str(g) for g in w.jc.generators],
+        kernel_generators=[str(g) for g in pres.defining.generators],
+    )
+    lines = [
+        "isomorphic: true",
+        f"verified: {str(verified).lower()}",
+        "B: " + (", ".join(report["B"]) or "(empty)"),
+        "C: " + (", ".join(report["C"]) or "(empty)"),
+        "kernel: " + (", ".join(report["kernel_generators"]) or "(0)"),
+    ]
+    return report, lines, 0
 
 
-def _cmd_presentation(spec: dict, args) -> int:
-    field = _field_for(spec, args)
-    ring, J, i_polys, _ = _problem(spec, field)
-    rees = rees_presentation(J, i_polys)
+def _cmd_presentation(problem: _Problem, spec: dict, args) -> tuple:
+    rees = rees_presentation(problem.J, problem.i_polys)
     assoc = _assoc_graded_from_rees(rees)
     report = {
-        "command": "presentation",
-        "field": field.name,
-        "variables": list(ring.variables),
         "rees": _presentation_block(rees),
         "assoc_graded": _presentation_block(assoc),
     }
-    _emit("presentation", report, args)
+    lines = []
     for label, block in (("Rees", report["rees"]), ("assoc graded", report["assoc_graded"])):
-        print(f"{label} defining ideal:")
-        if not block["generators"]:
-            print("  (0)")
-        for g in block["generators"]:
-            print(
-                f"  {g['poly']}  [weight {g['y_weight']}, degree {g['internal_degree']}]"
-            )
-    return 0
+        lines.append(f"{label} defining ideal:")
+        lines += [
+            f"  {g['poly']}  [weight {g['y_weight']}, degree {g['internal_degree']}]"
+            for g in block["generators"]
+        ] or ["  (0)"]
+    return report, lines, 0
 
 
-def _cmd_hilbert(spec: dict, args) -> int:
-    field = _field_for(spec, args)
-    ring, J, i_polys, _ = _problem(spec, field)
+def _cmd_hilbert(problem: _Problem, spec: dict, args) -> tuple:
     opts = spec.get("options", {})
     level_bound = opts.get("level_bound", LEVEL_BOUND)
     degree_bound = opts.get("degree_bound", DEGREE_BOUND)
-    table = bigraded_hilbert(J, i_polys, level_bound, degree_bound)
+    table = bigraded_hilbert(problem.J, problem.i_polys, level_bound, degree_bound)
     entries = [[n, d, v] for (n, d), v in sorted(table.dims.items())]
     report = {
-        "command": "hilbert",
-        "field": field.name,
-        "variables": list(ring.variables),
         "level_bound": level_bound,
         "degree_bound": degree_bound,
         "entries": entries,
     }
-    _emit("hilbert", report, args)
-    print("adic level, internal degree -> dimension")
-    for n, d, v in entries:
-        print(f"  ({n}, {d}) -> {v}")
-    return 0
+    lines = ["adic level, internal degree -> dimension"]
+    lines += [f"  ({n}, {d}) -> {v}" for n, d, v in entries]
+    return report, lines, 0
 
 
-def _cmd_cohomology(spec: dict, args) -> int:
-    field = _field_for(spec, args)
-    ring, J, i_polys, complex_builder = _problem(spec, field)
+def _cmd_cohomology(problem: _Problem, spec: dict, args) -> tuple:
+    field = problem.ring.field
     lo, hi = _window_for(spec, args)
-    complex = complex_builder()
+    complex = problem.complex_builder()
     inv = sr_invariants(complex, field)
     invariants = {
         "dim_A": inv.dim,
@@ -277,16 +238,13 @@ def _cmd_cohomology(spec: dict, args) -> int:
         window = local_cohomology_window(complex, field, lo, hi)
         dim_r = adic = cm_r = None
     else:
-        data = SplitSRData.from_split(complex, _variable_basis(complex, i_polys, J))
+        data = SplitSRData.from_split(complex, _variable_basis(problem, complex))
         window = assemble_rees_cohomology(data, field, lo, hi)
         dim_r = dim_rees(complex, data.b)
         adic = adic_a_invariant(complex, data.b, field)
         cm_r = decide_cm_rees(data, field).cm_rees
     table = window_table(window, lo, hi)
     report = {
-        "command": "cohomology",
-        "field": field.name,
-        "variables": list(ring.variables),
         "module": args.module,
         "window": [lo, hi],
         "entries": _window_entries(table),
@@ -296,41 +254,36 @@ def _cmd_cohomology(spec: dict, args) -> int:
         "adic_a_invariant": adic,
         "cm_R": cm_r,
     }
-    _emit("cohomology", report, args)
-    print(f"module {args.module}, window [{lo}, {hi}]")
+    lines = [f"module {args.module}, window [{lo}, {hi}]"]
     for i, row in table.items():
         cells = [f"{j} -> {v}" for j, v in row.items()]
-        print(f"H^{i}:", "; ".join(cells) if cells else "0 on window")
+        lines.append(f"H^{i}: " + ("; ".join(cells) if cells else "0 on window"))
     if args.module == "A":
-        print(
+        lines.append(
             "dim_A = {dim_A}, depth_A = {depth_A}, a_invariant = {a_invariant}, "
             "cm = {cm}, gencm = {gencm}".format(**invariants)
         )
     else:
-        print(f"dim_R = {dim_r}, adic_a_invariant = {adic}, cm_R = {str(cm_r).lower()}")
-    return 0
+        lines.append(f"dim_R = {dim_r}, adic_a_invariant = {adic}, cm_R = {str(cm_r).lower()}")
+    return report, lines, 0
 
 
-def _cmd_gencm(spec: dict, args) -> int:
-    field = _field_for(spec, args)
-    ring, J, i_polys, complex_builder = _problem(spec, field)
+def _cmd_gencm(problem: _Problem, spec: dict, args) -> tuple:
+    field = problem.ring.field
     lo, hi = _window_for(spec, args)
-    complex = complex_builder()
-    data = SplitSRData.from_split(complex, _variable_basis(complex, i_polys, J))
+    complex = problem.complex_builder()
+    data = SplitSRData.from_split(complex, _variable_basis(problem, complex))
     verdict = decide_gencm(data, field)
     window_a = local_cohomology_window(complex, field, lo, hi)
     window_r = assemble_rees_cohomology(data, field, lo, hi)
     report = {
-        "command": "gencm",
-        "field": field.name,
-        "variables": list(ring.variables),
         "gencm": verdict.gencm,
         "case": verdict.case,
         "dim_R": verdict.dim_R,
         "cm_R": verdict.cm_R,
         "precondition_A_gencm": verdict.precondition_A_gencm,
-        "B": _names(ring, data.b),
-        "C": _names(ring, data.c),
+        "B": _names(problem.ring, data.b),
+        "C": _names(problem.ring, data.c),
         "evidence": dict(verdict.evidence),
         "windows": {
             "window": [lo, hi],
@@ -338,46 +291,41 @@ def _cmd_gencm(spec: dict, args) -> int:
             "R": _window_entries(window_table(window_r, lo, hi)),
         },
     }
-    _emit("gencm", report, args)
-    print(f"gencm: {str(verdict.gencm).lower()}")
-    print(f"case: {verdict.case}")
-    print(f"dim_R: {verdict.dim_R}")
-    print(f"cm_R: {str(verdict.cm_R).lower()}")
-    print(f"precondition_A_gencm: {str(verdict.precondition_A_gencm).lower()}")
-    for key in sorted(verdict.evidence):
-        print(f"  {key}: {verdict.evidence[key]}")
-    return 0 if verdict.gencm else 3
+    lines = [
+        f"gencm: {str(verdict.gencm).lower()}",
+        f"case: {verdict.case}",
+        f"dim_R: {verdict.dim_R}",
+        f"cm_R: {str(verdict.cm_R).lower()}",
+        f"precondition_A_gencm: {str(verdict.precondition_A_gencm).lower()}",
+    ]
+    lines += [f"  {key}: {verdict.evidence[key]}" for key in sorted(verdict.evidence)]
+    return report, lines, 0 if verdict.gencm else 3
 
 
-def _cmd_dim(spec: dict, args) -> int:
-    field = _field_for(spec, args)
-    ring, J, i_polys, complex_builder = _problem(spec, field)
-    complex = complex_builder()
-    b = _variable_basis(complex, i_polys, J)
-    inv = sr_invariants(complex, field)
+def _cmd_dim(problem: _Problem, spec: dict, args) -> tuple:
+    complex = problem.complex_builder()
+    b = _variable_basis(problem, complex)
+    inv = sr_invariants(complex, problem.ring.field)
     report = {
-        "command": "dim",
-        "field": field.name,
-        "variables": list(ring.variables),
         "dim_A": inv.dim,
         "dim_R": dim_rees(complex, b),
         "depth_A": inv.depth,
         "a_invariant": inv.a_invariant,
     }
-    _emit("dim", report, args)
-    for key in ("dim_A", "dim_R", "depth_A", "a_invariant"):
-        print(f"{key} = {report[key]}")
-    return 0
+    lines = [f"{key} = {report[key]}" for key in ("dim_A", "dim_R", "depth_A", "a_invariant")]
+    return report, lines, 0
 
 
-_HANDLERS = {
-    "check-iso": _cmd_check_iso,
-    "presentation": _cmd_presentation,
-    "hilbert": _cmd_hilbert,
-    "cohomology": _cmd_cohomology,
-    "gencm": _cmd_gencm,
-    "dim": _cmd_dim,
+# command name -> (handler, one-line help for the --help epilog)
+_COMMANDS = {
+    "check-iso": (_cmd_check_iso, "decide whether the associated graded ring is isomorphic to A"),
+    "presentation": (_cmd_presentation, "defining ideals of the Rees algebra and associated graded ring"),
+    "hilbert": (_cmd_hilbert, "bigraded Hilbert table of the associated graded ring"),
+    "cohomology": (_cmd_cohomology, "graded local cohomology tables (module A or R)"),
+    "gencm": (_cmd_gencm, "decide generalized Cohen-Macaulayness of the Rees ring"),
+    "dim": (_cmd_dim, "dimension, depth and a-invariant data"),
 }
+_HANDLERS = {name: handler for name, (handler, _) in _COMMANDS.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -393,14 +341,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(
         prog="gradealg",
         description="Associated graded rings, Rees algebras and their local cohomology.",
-        epilog="""commands:
-  check-iso     decide whether the associated graded ring is isomorphic to A
-  presentation  defining ideals of the Rees algebra and associated graded ring
-  hilbert       bigraded Hilbert table of the associated graded ring
-  cohomology    graded local cohomology tables (module A or R)
-  gencm         decide generalized Cohen-Macaulayness of the Rees ring
-  dim           dimension, depth and a-invariant data
-""",
+        epilog="commands:\n"
+        + "".join(f"  {name:<12}  {summary}\n" for name, (_, summary) in _COMMANDS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
@@ -440,8 +382,24 @@ def _parse_args(argv):
 def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
-        spec = _load_spec(args.input)
-        return _HANDLERS[args.command](spec, args)
+        with open(args.input, encoding="utf-8") as fh:
+            spec = json.load(fh)
+        validate_input(spec)
+        field = parse_field(args.field or spec.get("field", "Q"))
+        problem = _problem(spec, field)
+        fields, lines, code = _HANDLERS[args.command](problem, spec, args)
+        report = {
+            "command": args.command,
+            "field": field.name,
+            "variables": list(problem.ring.variables),
+            **fields,
+        }
+        validate_output(args.command, report)
+        if args.json:
+            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+            Path(args.json).write_text(text, encoding="utf-8")
+        print("\n".join(lines))
+        return code
     except LimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

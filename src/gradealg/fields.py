@@ -208,14 +208,15 @@ def GF(p: int) -> PrimeField:
 
 
 def parse_field(text: str):
-    """Parse a field label: "Q" or "GF(p)"."""
+    """Parse a field label: Q or QQ, or GF(p) with optional parentheses."""
     s = text.strip()
     if s in ("Q", "QQ"):
         return QQ
-    if s.startswith("GF(") and s.endswith(")"):
+    if s.startswith("GF"):
         try:
-            p = int(s[3:-1])
+            p = int(s[2:].removeprefix("(").removesuffix(")"))
         except ValueError:
-            raise ValueError(f"bad field label {text!r}") from None
-        return PrimeField(p)
-    raise ValueError(f"bad field label {text!r}")
+            pass
+        else:
+            return PrimeField(p)
+    raise ValueError(f"unknown field {text!r}; expected Q or GF(p)")

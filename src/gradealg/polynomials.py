@@ -398,11 +398,17 @@ class Polynomial:
     def rename_into(self, target: PolyRing, name_map: Optional[dict] = None) -> "Polynomial":
         """Move to another ring matching variables by name (or by name_map)."""
         name_map = name_map or {}
-        images = []
-        for v in self.ring.variables:
-            w = name_map.get(v, v)
-            images.append(target.var(target.var_index(w)))
-        return self.map_into(target, images)
+        index = [target.var_index(name_map.get(v, v)) for v in self.ring.variables]
+        if target.field != self.ring.field:
+            raise AmbientMismatch("ring map must preserve the field")
+        terms = {}
+        for m, c in self.terms.items():
+            mon = [0] * target.nvars
+            for i, e in zip(index, m):
+                mon[i] += e
+            mon = tuple(mon)
+            terms[mon] = terms[mon] + c if mon in terms else c
+        return Polynomial(target, terms)
 
     # -- identity -----------------------------------------------------------
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import jsonschema
 
+from .blowup import MAX_DEGREE_BOUND, MAX_LEVEL_BOUND
+
 _SCHEMA_DIALECT = "https://json-schema.org/draft/2020-12/schema"
 _NAME_PATTERN = "^[A-Za-z][A-Za-z0-9_]*$"
 
@@ -93,8 +95,8 @@ INPUT_SCHEMA = {
             "type": "object",
             "properties": {
                 "window": _WINDOW,
-                "level_bound": {"type": "integer", "minimum": 0, "maximum": 16},
-                "degree_bound": {"type": "integer", "minimum": 0, "maximum": 20},
+                "level_bound": {"type": "integer", "minimum": 0, "maximum": MAX_LEVEL_BOUND},
+                "degree_bound": {"type": "integer", "minimum": 0, "maximum": MAX_DEGREE_BOUND},
             },
             "additionalProperties": False,
         },

@@ -48,6 +48,24 @@ def test_golden_reports(tmp_path, command, spec, extra, golden, expected):
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
+@pytest.mark.parametrize("command,spec,extra,golden,expected", GOLDEN_RUNS)
+def test_golden_stdout(capsys, command, spec, extra, golden, expected):
+    assert main([command, "--input", str(DATA / spec), *extra]) == expected
+    out = capsys.readouterr().out
+    stdout_golden = GOLDEN / golden.replace(".json", ".stdout")
+    assert out.encode("utf-8") == stdout_golden.read_bytes()
+
+
+def test_help_matches_readme(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```text\nusage: gradealg ", 1)[1].split("```", 1)[0]
+    assert capsys.readouterr().out == "usage: gradealg " + block
+
+
 def test_reports_validate_against_published_schemas():
     for command, spec, extra, golden, _ in GOLDEN_RUNS:
         report = json.loads((GOLDEN / golden).read_text())
@@ -136,6 +154,19 @@ def test_field_override(tmp_path, capsys):
 
     code = main(["dim", "--input", str(DATA / "path.json"), "--field", "GF(6)"])
     assert code == 1
+
+
+@pytest.mark.parametrize("label", ["GF(7", "GF7)", " GF(7) "])
+def test_field_override_labels(tmp_path, label):
+    out = tmp_path / "r.json"
+    assert main(["dim", "--input", str(DATA / "path.json"), "--field", label,
+                 "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["field"] == "GF(7)"
+
+
+def test_unknown_field_message(capsys):
+    assert main(["dim", "--input", str(DATA / "path.json"), "--field", "R"]) == 1
+    assert capsys.readouterr().err == "error: unknown field 'R'; expected Q or GF(p)\n"
 
 
 def test_facets_and_ideal_descriptions_agree(tmp_path):

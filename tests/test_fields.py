@@ -95,6 +95,31 @@ def test_parse_field():
         parse_field("GF(8)")
 
 
+@pytest.mark.parametrize("label", ["Q", "QQ", " Q "])
+def test_parse_field_accepts_rational_labels(label):
+    assert parse_field(label) is QQ
+
+
+@pytest.mark.parametrize("label", ["GF(7)", "GF7", "GF(7", "GF7)", " GF(7) ", "GF( 7 )"])
+def test_parse_field_accepts_prime_labels(label):
+    assert parse_field(label) == GF(7)
+
+
+@pytest.mark.parametrize(
+    "label,message",
+    [
+        ("R", "unknown field 'R'; expected Q or GF(p)"),
+        ("GF(four)", "unknown field 'GF(four)'; expected Q or GF(p)"),
+        ("GF", "unknown field 'GF'; expected Q or GF(p)"),
+        ("GF(8)", "8 is not prime"),
+    ],
+)
+def test_parse_field_rejects(label, message):
+    with pytest.raises(ValueError) as exc:
+        parse_field(label)
+    assert str(exc.value) == message
+
+
 def test_field_equality_and_hash():
     assert GF(5) == GF(5)
     assert GF(5) != GF(7)

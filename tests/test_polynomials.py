@@ -169,6 +169,33 @@ def test_map_into_and_rename():
     assert q == S.parse("u*w")
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_rename_into_equals_map_into_onto_variables(field):
+    rng = random.Random(11)
+    R = ring("x,y,z", field)
+    S = ring("a,b,c,d,e", field)
+    for _ in range(30):
+        p = random_poly(rng, R)
+        # an injective renaming, and one that sends two variables to one
+        for targets in (rng.sample(S.variables, 3), [rng.choice(S.variables)] * 2 + ["e"]):
+            name_map = dict(zip(R.variables, targets))
+            images = [S.var(S.var_index(name_map[v])) for v in R.variables]
+            assert p.rename_into(S, name_map) == p.map_into(S, images)
+    T = ring("z,y,x,w", field)
+    p = random_poly(rng, R)
+    assert p.rename_into(T) == p.map_into(T, [T.var(2), T.var(1), T.var(0)])
+
+
+def test_rename_into_errors():
+    R = ring("x,y")
+    with pytest.raises(ParseError):
+        R.parse("x").rename_into(ring("x,z"))
+    with pytest.raises(ParseError):
+        R.parse("x").rename_into(ring("u,v"), {"x": "u", "y": "q"})
+    with pytest.raises(AmbientMismatch):
+        R.parse("x").rename_into(ring("x,y", GF(5)))
+
+
 def test_monomials_of_degree():
     mons = list(monomials_of_degree(3, 2))
     assert len(mons) == 6
