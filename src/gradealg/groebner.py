@@ -30,6 +30,11 @@ normal form, that exceeds ``MAX_REDUCTION_WORK`` raises ``LimitExceeded``.
 Reduced bases are cached per (generator set, order) in a bounded LRU cache
 of ``GB_CACHE_SIZE`` entries. What the cache holds is immutable, except that
 a basis keeps its integer reducers once a normal form has needed them.
+
+Hilbert tables and ``krull_dim`` are read off the numerator of the Hilbert
+series of in(I) (of its radical for ``krull_dim``), graded by a (weight,
+degree) per variable and computed by Bigatti's pivot recursion (``_numerator``),
+at a cost set by the generators and the window, not by the counts (math-notes §9).
 """
 
 from __future__ import annotations
@@ -39,9 +44,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from math import gcd
-from operator import add, le, sub
+from operator import add, le, mul, sub
 from typing import Sequence
 
 from .errors import AmbientMismatch, LimitExceeded
@@ -50,8 +55,7 @@ from .polynomials import GREVLEX, PolyRing, Polynomial, elimination_order
 
 POWER_BOUND = 12
 GB_CACHE_SIZE = 256
-# Work budget of ``count_standard_monomials``: the most monomials one call
-# counts. Every Hilbert function and bigraded Hilbert table goes through it.
+# The most standard monomials a Hilbert window may hold: ``count_standard_monomials``.
 MAX_STANDARD_MONOMIALS = 10**6
 # Work budget of one Buchberger run and of one normal form: the most
 # reduction work ``_Reducer`` does (tail terms subtracted, weighted by
@@ -458,60 +462,65 @@ class GradedHilbert:
         return {d: v for d, v in enumerate(self.dims)}
 
 
+def _numerator(lms, weights, degrees, level_bound: int, degree_bound: int) -> dict:
+    """Numerator N of the Hilbert series N / prod(1 - s^w_i t^d_i) of S/(lms),
+    (a, b) -> coefficient of s^a t^b, for a <= level_bound, b <= degree_bound.
+    For p = x_i^e of bidegree (a, b), N(M) = N(M + (p)) + s^a t^b N(M : p);
+    a generator coprime to the others factors off as 1 - s^a t^b."""
+    n = len(weights)
+
+    def bideg(m):
+        return sum(map(mul, m, weights)), sum(map(mul, m, degrees))
+
+    def add_shifted(N, terms, a, b, sign, L, D):  # N += sign s^a t^b terms
+        for (u, v), c in terms:
+            if u + a <= L and v + b <= D:
+                N[u + a, v + b] = N.get((u + a, v + b), 0) + sign * c
+
+    def rec(gens, L, D) -> dict:
+        kept = []  # minimal generators in the window; one outside has no multiple in it
+        for m in sorted(set(gens), key=sum):
+            if all(map(le, bideg(m), (L, D))) and not any(all(map(le, k, m)) for k in kept):
+                kept.append(m)
+        occ = [sum(1 for g in kept if g[i]) for i in range(n)]
+        rest = [g for g in kept if any(occ[i] > 1 for i, e in enumerate(g) if e)]
+        N = {(0, 0): 1}
+        if rest:  # x_i in the most generators, e its median exponent in mixed ones
+            i = max(range(n), key=occ.__getitem__)
+            mixed = sorted(g[i] for g in rest if 0 < g[i] < sum(g))
+            e = mixed[len(mixed) // 2]
+            a, b = e * weights[i], e * degrees[i]
+            N = rec([g for g in rest if g[i] < e] + [(0,) * i + (e,) + (0,) * (n - i - 1)], L, D)
+            if a <= L and b <= D:
+                quotient = [g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in rest]
+                add_shifted(N, rec(quotient, L - a, D - b).items(), a, b, 1, L, D)
+        for g in set(kept).difference(rest):
+            add_shifted(N, list(N.items()), *bideg(g), -1, L, D)
+        return N
+
+    return rec(lms, level_bound, degree_bound)
+
+
 def count_standard_monomials(lms, weights, degrees, level_bound: int, degree_bound: int) -> dict:
     """Monomials divisible by none of ``lms``, tallied by (weight, degree).
 
     Variable i has weight ``weights[i]`` >= 0 and degree ``degrees[i]`` >= 1.
     Only monomials of weight <= ``level_bound`` and degree <= ``degree_bound``
-    are counted; the result maps each (weight, degree) to its nonzero count.
-
-    Exponents are fixed variable by variable. ``by_last[i]`` holds the
-    monomials whose last variable is i; those dividing the fixed prefix cap
-    the exponent of i, and the last variable's exponents are tallied in one
-    run. Every node is a standard monomial (its prefix padded with zeros), so
-    the work is at most nvars nodes per monomial counted. Past
-    ``MAX_STANDARD_MONOMIALS`` monomials counted it raises ``LimitExceeded``.
+    are counted; the result maps each (weight, degree) to its nonzero count:
+    the window of ``_numerator`` / prod(1 - s^w t^d), one prefix-sum pass per
+    variable. More than ``MAX_STANDARD_MONOMIALS`` in all raises ``LimitExceeded``.
     """
-    by_last = [[] for _ in degrees]
-    for lm in lms:
-        support = [i for i, e in enumerate(lm) if e]
-        if not support:
-            return {}  # the unit ideal: nothing is standard
-        last = support[-1]
-        by_last[last].append((lm[:last], lm[last]))
-    if not degrees:
-        return {(0, 0): 1}
-    n = len(degrees)
-    counts = {}
-    exp = [0] * n
-    left = MAX_STANDARD_MONOMIALS
-
-    def rec(pos: int, weight: int, degree: int):
-        nonlocal left
-        w, d = weights[pos], degrees[pos]
-        top = (degree_bound - degree) // d
-        if w:
-            top = min(top, (level_bound - weight) // w)
-        for prefix, e in by_last[pos]:
-            if e <= top and all(map(le, prefix, exp)):
-                top = e - 1
-        if pos == n - 1:
-            left -= top + 1
-            if left < 0:
-                raise LimitExceeded(
-                    f"more than {MAX_STANDARD_MONOMIALS} standard monomials to count"
-                )
-            for e in range(top + 1):
-                key = (weight + e * w, degree + e * d)
-                counts[key] = counts.get(key, 0) + 1
-            return
-        for e in range(top + 1):
-            exp[pos] = e
-            rec(pos + 1, weight + e * w, degree + e * d)
-        exp[pos] = 0
-
-    rec(0, 0, 0)
-    return counts
+    table = [[0] * (degree_bound + 1) for _ in range(level_bound + 1)]
+    for (a, b), c in _numerator(lms, weights, degrees, level_bound, degree_bound).items():
+        table[a][b] = c
+    for w, d in zip(weights, degrees):
+        for a in range(w, level_bound + 1):
+            row, low = table[a], table[a - w]
+            for b in range(d, degree_bound + 1):
+                row[b] += low[b - d]
+    if sum(map(sum, table)) > MAX_STANDARD_MONOMIALS:
+        raise LimitExceeded(f"more than {MAX_STANDARD_MONOMIALS} standard monomials to count")
+    return {(a, b): c for a, row in enumerate(table) for b, c in enumerate(row) if c}
 
 
 def hilbert_function(ideal: Ideal, degree_bound: int) -> GradedHilbert:
@@ -530,20 +539,17 @@ def hilbert_function(ideal: Ideal, degree_bound: int) -> GradedHilbert:
 
 
 def krull_dim(ideal: Ideal) -> int:
-    """Krull dimension of ring/ideal.
-
-    Equals the largest number of variables forming a set independent modulo
-    the initial ideal: no leading monomial of the reduced basis lives entirely
-    on the set. This is insensitive to the order used, so grevlex is fixed.
-    """
+    """Krull dimension of ring/ideal: the order of the pole at t = 1 of the
+    Hilbert series N(t) / (1 - t)^n of S/rad(in(ideal)), which has the same
+    dimension (Bruns & Herzog §4.1); squarefree, N has no term past degree n."""
     gb = groebner_basis(ideal)
     if gb.is_unit():
         raise ValueError("unit ideal has no Krull dimension")
-    supports = [frozenset(i for i, e in enumerate(lm) if e) for lm in gb.lms]
     n = ideal.ring.nvars
-    for size in range(n, -1, -1):
-        for subset in combinations(range(n), size):
-            s = set(subset)
-            if not any(supp <= s for supp in supports):
-                return size
-    raise AssertionError("unreachable: empty set is independent for proper ideals")
+    radical = [tuple(min(e, 1) for e in m) for m in gb.lms]
+    numerator = _numerator(radical, [0] * n, [1] * n, 0, n)
+    coeffs = [numerator.get((0, b), 0) for b in range(n + 1)]
+    while not sum(coeffs):  # N(1) = 0: exact division by 1 - t, by prefix sums
+        coeffs = list(accumulate(coeffs))[:-1]
+        n -= 1
+    return n

@@ -2,7 +2,7 @@
 
 Every report the CLI emits is validated against its schema first, so the
 published schema files in docs/schemas stay honest: a report that drifts
-from its schema is a crash, not a silent format change.
+from its schema raises ``InternalError`` (exit 4), not a silent format change.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import jsonschema
 
 from .blowup import MAX_DEGREE_BOUND, MAX_LEVEL_BOUND
+from .errors import InternalError
 
 _SCHEMA_DIALECT = "https://json-schema.org/draft/2020-12/schema"
 _NAME_PATTERN = "^[A-Za-z][A-Za-z0-9_]*$"
@@ -291,4 +292,7 @@ def validate_input(obj) -> None:
 
 
 def validate_output(command: str, obj) -> None:
-    _OUTPUT_VALIDATORS[command].validate(obj)
+    try:
+        _OUTPUT_VALIDATORS[command].validate(obj)
+    except jsonschema.ValidationError as exc:
+        raise InternalError(f"{command} report fails its schema: {exc.message}") from exc

@@ -3,12 +3,15 @@
 dim (I^n/I^(n+1))_d is the difference of the Hilbert functions of
 S/(I^(n+1) + J) and S/(I^n + J), one Groebner basis per power, all inside
 the base ring. It shares no code with the upstairs count of
-``gradealg.blowup.bigraded_hilbert`` beyond the Groebner engine and the
-Hilbert function of a single ideal, and is only fast at small bounds.
+``gradealg.blowup.bigraded_hilbert`` beyond the Groebner engine: it counts
+each Hilbert function with the enumerating oracle, not with the numerator
+route it checks. It is only fast at small bounds.
 """
 
 from gradealg.blowup import BigradedHilbert
-from gradealg.groebner import Ideal, hilbert_function, ideal_power, ideal_sum
+from gradealg.groebner import Ideal, groebner_basis, ideal_power, ideal_sum
+
+from tests.enumeration_oracles import count_standard_monomials
 
 
 def downstairs_bigraded_hilbert(J: Ideal, f, level_bound: int, degree_bound: int) -> BigradedHilbert:
@@ -16,7 +19,10 @@ def downstairs_bigraded_hilbert(J: Ideal, f, level_bound: int, degree_bound: int
 
     def quotient_dims(n: int):
         power = ideal_power(I, n, bound=level_bound + 1)
-        return hilbert_function(ideal_sum(power, J), degree_bound)
+        lms = groebner_basis(ideal_sum(power, J)).leading_monomials()
+        nvars = J.ring.nvars
+        counts = count_standard_monomials(lms, [0] * nvars, [1] * nvars, 0, degree_bound)
+        return [counts.get((0, d), 0) for d in range(degree_bound + 1)]
 
     dims = {}
     prev = quotient_dims(0)  # zero ring: I^0 + J = (1)

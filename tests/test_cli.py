@@ -381,6 +381,23 @@ def test_failed_self_check_is_an_internal_error(monkeypatch, capsys):
     assert err.startswith("internal error: ") and err.count("\n") == 1
 
 
+def test_report_failing_its_schema_is_an_internal_error(monkeypatch, capsys):
+    from gradealg import cli
+
+    handler = cli._HANDLERS["dim"]
+
+    def drifted(problem, spec, args):
+        fields, lines, code = handler(problem, spec, args)
+        return {**fields, "dim_R": "three"}, lines, code
+
+    monkeypatch.setitem(cli._HANDLERS, "dim", drifted)
+    assert main(["dim", "--input", str(DATA / "path.json")]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert "'three' is not of type 'integer'" in err
+
+
 def test_presentation_validates_its_input_once(monkeypatch):
     from gradealg import blowup
 
