@@ -127,10 +127,11 @@ def _rees_presentation(J: Ideal, f: tuple, y_names) -> ReesPresentation:
         gens.append(big.var(n + j) - fj.rename_into(big) * t)
 
     kept = elimination_ideal(Ideal(big, gens), range(big.nvars - 1)).generators
-    # t is the last variable and absent from kept: drop its exponent
+    # t is the last variable and absent from kept: drop its exponent. The
+    # block order is grevlex on X, Y, so kept is already the reduced grevlex
+    # basis of the defining ideal, in its order (math-notes §8)
     xy = PolyRing(S.variables + y_names, S.field)
-    kept_xy = [Polynomial(xy, {m[:-1]: c for m, c in g.terms.items()}) for g in kept]
-    defining = Ideal(xy, list(groebner_basis(Ideal(xy, kept_xy))))
+    defining = Ideal(xy, [Polynomial(xy, {m[:-1]: c for m, c in g.terms.items()}) for g in kept])
 
     return ReesPresentation(
         ring=xy,

@@ -275,7 +275,12 @@ def buchberger(generators: Sequence[Polynomial], order=GREVLEX) -> list:
     pairs = []  # heap of (lcm degree, i, j): the normal selection
 
     def add_pairs(new: int):
+        # two monomials have S-polynomial 0: such a pair is never queued, and
+        # counts as treated for the chain criterion
+        monomial = not tails[new]
         for k in range(new):
+            if monomial and not tails[k]:
+                continue
             lcm = tuple(map(max, lms[k], lms[new]))
             pending[(k, new)] = lcm
             heappush(pairs, (sum(lcm), k, new))

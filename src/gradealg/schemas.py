@@ -3,9 +3,21 @@
 Every report the CLI emits is validated against its schema first, so the
 published schema files in docs/schemas stay honest: a report that drifts
 from its schema raises ``InternalError`` (exit 4), not a silent format change.
+
+Each schema dict is compiled once, at import, into a nested Python predicate
+(``_compile``). The predicate is one-sided: when it accepts an instance,
+jsonschema accepts it too. It may refuse an instance jsonschema would accept
+(``1.0`` for an integer, a bool in an enum, a tuple for an array); only then
+does the ``Draft202012Validator`` run, which raises with jsonschema's own
+message or passes. So every verdict and every message is jsonschema's, and
+jsonschema runs only to explain a rejection. The compiler knows only the
+keywords these schemas use and raises on any other.
 """
 
 from __future__ import annotations
+
+import math
+import re
 
 import jsonschema
 
@@ -279,8 +291,108 @@ OUTPUT_SCHEMAS = {
 }
 
 
-# Built once: a validator holds no state between calls.
+# the keywords _compile knows, and the two annotations it skips
+_KEYWORDS = set(
+    "type properties additionalProperties required items minItems maxItems uniqueItems"
+    " pattern minimum maximum enum const anyOf oneOf $schema title".split()
+)
+_JSON_TYPES = dict(object=dict, array=list, string=str, integer=int, boolean=bool, null=type(None))
+
+
+def _compile(schema: dict):
+    """A predicate that accepts an instance only if jsonschema accepts it.
+
+    Types are matched exactly (``type(x) is int`` refuses bools and floats),
+    and each keyword that jsonschema applies to one type only also demands
+    that type, so the predicate never accepts more than the schema does.
+    """
+    unknown = schema.keys() - _KEYWORDS
+    if unknown:
+        raise ValueError(f"schema keywords {sorted(unknown)} are not compiled")
+    checks = []
+    if "type" in schema:
+        names = [schema["type"]] if isinstance(schema["type"], str) else schema["type"]
+        if not _JSON_TYPES.keys() >= set(names):
+            raise ValueError(f"schema types {names} are not compiled")
+        types = frozenset(map(_JSON_TYPES.get, names))
+        checks.append(lambda x: type(x) in types)
+    if schema.keys() & {"properties", "additionalProperties", "required"}:
+        checks.append(_object_check(schema))
+    if schema.keys() & {"items", "minItems", "maxItems", "uniqueItems"}:
+        checks.append(_array_check(schema))
+    if "pattern" in schema:
+        search = re.compile(schema["pattern"]).search
+        checks.append(lambda x: type(x) is str and search(x) is not None)
+    if schema.keys() & {"minimum", "maximum"}:
+        lo, hi = schema.get("minimum", -math.inf), schema.get("maximum", math.inf)
+        checks.append(lambda x: type(x) is int and lo <= x <= hi)
+    if schema.keys() & {"enum", "const"}:
+        values = schema["enum"] if "enum" in schema else [schema["const"]]
+        if any(type(v) not in (str, int, bool, type(None)) for v in values):
+            raise ValueError("enum and const values must be strings, integers, booleans or null")
+        members = frozenset((type(v), v) for v in values)
+        kinds = frozenset(type(v) for v in values)
+        checks.append(lambda x: type(x) in kinds and (type(x), x) in members)
+    if "anyOf" in schema:
+        branches = [_compile(s) for s in schema["anyOf"]]
+        checks.append(lambda x: any(b(x) for b in branches))
+    if "oneOf" in schema:
+        # "exactly one" needs exact branch verdicts, and `required` on a dict
+        # is the one check compiled exactly
+        if any(s.keys() != {"required"} for s in schema["oneOf"]):
+            raise ValueError("oneOf branches must be required-only schemas")
+        needs = [frozenset(s["required"]) for s in schema["oneOf"]]
+        checks.append(lambda x: type(x) is dict and sum(x.keys() >= r for r in needs) == 1)
+    if len(checks) == 1:
+        return checks[0]
+    return lambda x: all(c(x) for c in checks)
+
+
+def _object_check(schema: dict):
+    properties = {k: _compile(s) for k, s in schema.get("properties", {}).items()}
+    closed = schema.get("additionalProperties", True)
+    if closed is not True and closed is not False:
+        raise ValueError("additionalProperties must be true or false")
+    required = frozenset(schema.get("required", ()))
+
+    def check(x):
+        if type(x) is not dict or not x.keys() >= required:
+            return False
+        for key, value in x.items():
+            p = properties.get(key)
+            if p is None:
+                if not closed:
+                    return False
+            elif not p(value):
+                return False
+        return True
+
+    return check
+
+
+def _array_check(schema: dict):
+    item = _compile(schema["items"]) if "items" in schema else None
+    lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+    unique = schema.get("uniqueItems", False)
+
+    def check(x):
+        if type(x) is not list or not lo <= len(x) <= hi:
+            return False
+        if item is not None and not all(map(item, x)):
+            return False
+        # a set compares ints and strings as jsonschema does; bools, floats
+        # and containers are refused
+        return not unique or (
+            all(type(v) is int or type(v) is str for v in x) and len(set(x)) == len(x)
+        )
+
+    return check
+
+
+# Built once: neither a predicate nor a validator holds state between calls.
+_INPUT_CHECK = _compile(INPUT_SCHEMA)
 _INPUT_VALIDATOR = jsonschema.Draft202012Validator(INPUT_SCHEMA)
+_OUTPUT_CHECKS = {command: _compile(schema) for command, schema in OUTPUT_SCHEMAS.items()}
 _OUTPUT_VALIDATORS = {
     command: jsonschema.Draft202012Validator(schema)
     for command, schema in OUTPUT_SCHEMAS.items()
@@ -288,10 +400,13 @@ _OUTPUT_VALIDATORS = {
 
 
 def validate_input(obj) -> None:
-    _INPUT_VALIDATOR.validate(obj)
+    if not _INPUT_CHECK(obj):
+        _INPUT_VALIDATOR.validate(obj)
 
 
 def validate_output(command: str, obj) -> None:
+    if _OUTPUT_CHECKS[command](obj):
+        return
     try:
         _OUTPUT_VALIDATORS[command].validate(obj)
     except jsonschema.ValidationError as exc:

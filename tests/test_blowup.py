@@ -16,7 +16,8 @@ from gradealg import blowup, groebner
 from gradealg.errors import LimitExceeded
 from gradealg.fields import GF, QQ
 from gradealg.groebner import Ideal, count_standard_monomials, hilbert_function, ideal_member
-from gradealg.polynomials import PolyRing
+from gradealg.polynomials import GREVLEX, PolyRing, Polynomial, elimination_order
+from tests import slow_groebner
 from tests.downstairs_hilbert import downstairs_bigraded_hilbert
 
 
@@ -285,3 +286,31 @@ def test_bigraded_hilbert_validates_its_input_once(monkeypatch):
         calls.clear()
         build()
         assert calls == f
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+def test_rees_basis_is_the_reduced_grevlex_basis_of_the_oracle(field):
+    # the t-free part of the block-order basis, used as it stands, equals
+    # what a second grevlex run of the slow engine makes of it (math-notes §8)
+    rng = random.Random(3301)
+    checked = 0
+    while checked < 20:
+        R = PolyRing(tuple(f"x{i}" for i in range(1, rng.randrange(2, 4))), field)
+        J = Ideal(R, [_random_homogeneous(R, rng, 2) for _ in range(rng.randrange(0, 2))])
+        f = [_random_homogeneous(R, rng, rng.randrange(1, 3)) for _ in range(rng.randrange(1, 3))]
+        if any(ideal_member(g, J) for g in f):
+            continue
+        pres = rees_presentation(J, f)
+        big = PolyRing(pres.ring.variables + ("t",), field)
+        t = big.var(big.nvars - 1)
+        gens = [g.rename_into(big) for g in J.generators]
+        gens += [big.var(R.nvars + j) - g.rename_into(big) * t for j, g in enumerate(f)]
+        block = slow_groebner.buchberger(gens, elimination_order([big.nvars - 1], big.nvars))
+        kept = [
+            Polynomial(pres.ring, {m[:-1]: c for m, c in g.terms.items()})
+            for g in block
+            if all(m[-1] == 0 for m in g.terms)
+        ]
+        expected = slow_groebner.buchberger(kept, GREVLEX)
+        assert list(map(str, pres.defining.generators)) == list(map(str, expected)), (J, f)
+        checked += 1

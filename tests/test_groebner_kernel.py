@@ -1,6 +1,7 @@
 """Differential tests: the term-list Buchberger kernel against the
 ``Polynomial``-object engine in ``tests/slow_groebner.py``."""
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -108,3 +109,22 @@ def test_kernel_matches_on_a_larger_system():
         frozen = GroebnerBasis(ring, GREVLEX, basis)
         f = ring.parse("u0^3*u3 - 7*u1*u2*h^2 + u3^4")
         assert frozen.normal_form(f) == slow_groebner.normal_form(f, basis)
+
+
+def test_monomial_ideals_match_polynomial_engine():
+    # pairs of two monomials are never queued; the chain criterion still
+    # sees them as treated, so the bases are unchanged
+    rng = random.Random(1010)
+    for _ in range(60):
+        field = rng.choice(FIELDS)
+        ring = PolyRing(("x", "y", "z", "w"), field)
+        gens = [
+            ring.monomial(tuple(rng.randrange(0, 4) for _ in range(4)), rng.randrange(1, 5))
+            for _ in range(rng.randrange(1, 8))
+        ]
+        # a binomial or two among the monomials mixes both kinds of pairs
+        gens += [_poly(ring, [((rng.randrange(3), 1, 0, rng.randrange(2)), 1), ((0, 0, 2, 1), -1)])
+                 for _ in range(rng.randrange(0, 3))]
+        for order in ORDERS[:2] + (elimination_order([1], 4),):
+            basis = buchberger(gens, order)
+            assert list(map(str, basis)) == list(map(str, slow_groebner.buchberger(gens, order)))
