@@ -24,8 +24,7 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import jsonschema
-
+from . import schemas
 from .blowup import (
     DEGREE_BOUND,
     LEVEL_BOUND,
@@ -47,7 +46,6 @@ from .rees_cohomology import (
     dim_rees,
     window_table,
 )
-from .schemas import validate_input, validate_output
 from .simplicial import (
     DEFAULT_WINDOW,
     SimplicialComplex,
@@ -384,7 +382,7 @@ def main(argv=None) -> int:
     try:
         with open(args.input, encoding="utf-8") as fh:
             spec = json.load(fh)
-        validate_input(spec)
+        schemas.validate_input(spec)
         field = parse_field(args.field or spec.get("field", "Q"))
         problem = _problem(spec, field)
         fields, lines, code = _HANDLERS[args.command](problem, spec, args)
@@ -394,7 +392,7 @@ def main(argv=None) -> int:
             "variables": list(problem.ring.variables),
             **fields,
         }
-        validate_output(args.command, report)
+        schemas.validate_output(args.command, report)
         if args.json:
             text = json.dumps(report, indent=2, sort_keys=True) + "\n"
             Path(args.json).write_text(text, encoding="utf-8")
@@ -406,11 +404,13 @@ def main(argv=None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except jsonschema.ValidationError as exc:
-        print(f"error: invalid problem description: {exc.message}", file=sys.stderr)
-        return 1
     except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except schemas.ValidationError as exc:
+        # resolved only for an exception the clauses above let through; for
+        # a schema rejection jsonschema is loaded by then
+        print(f"error: invalid problem description: {exc.message}", file=sys.stderr)
         return 1
 
 

@@ -1,9 +1,10 @@
 """Buchberger engine and ideal-level operations.
 
 The engine is the classical algorithm with the two standard pair-discarding
-criteria (coprime leading monomials, chain criterion) and the normal selection
-strategy: pick the pending pair with the smallest lcm degree, break ties
-lexicographically on the pair indices. Output is always the reduced basis,
+criteria (coprime leading monomials, chain criterion) and the sugar selection
+strategy: pick the pending pair with the smallest sugar, then the smallest lcm
+degree, break ties lexicographically on the pair indices; on homogeneous input
+this is the normal selection. Output is always the reduced basis,
 monic, sorted with the largest leading monomial first. Input generators are
 canonically sorted before the run, so two runs on shuffled generator lists
 produce identical results.
@@ -271,24 +272,34 @@ def buchberger(generators: Sequence[Polynomial], order=GREVLEX) -> list:
         normal, key=lambda t: ([nkey(m) for m, _ in t] + [last], [c for _, c in t]), reverse=True
     ):
         red.add(terms)
+    # sugar (Giovini et al., ISSAC 1991): a generator's is its total degree, a
+    # pair's the larger of sugar_i + deg t_i and sugar_j + deg t_j, and a new
+    # reducer takes its pair's. Kept as each reducer's excess of sugar over
+    # its leading degree, so a pair's sugar is its lcm degree plus the larger
+    # excess; on homogeneous input every excess is 0.
+    excess = [
+        max(map(sum, [lm] + [m for m, _ in tail])) - sum(lm) for lm, tail in zip(lms, tails)
+    ]
     pending = {}  # pair -> lcm of the two leading monomials
-    pairs = []  # heap of (lcm degree, i, j): the normal selection
+    pairs = []  # heap of (sugar, lcm degree, i, j)
 
     def add_pairs(new: int):
         # two monomials have S-polynomial 0: such a pair is never queued, and
         # counts as treated for the chain criterion
         monomial = not tails[new]
+        lm, e = lms[new], excess[new]
         for k in range(new):
             if monomial and not tails[k]:
                 continue
-            lcm = tuple(map(max, lms[k], lms[new]))
+            lcm = tuple(map(max, lms[k], lm))
             pending[(k, new)] = lcm
-            heappush(pairs, (sum(lcm), k, new))
+            degree = sum(lcm)
+            heappush(pairs, (degree + max(excess[k], e), degree, k, new))
 
     for new in range(1, len(lms)):
         add_pairs(new)
     while pairs:
-        _, i, j = heappop(pairs)
+        pair_sugar, _, i, j = heappop(pairs)
         lcm = pending.pop((i, j))
         if lcm == tuple(map(add, lms[i], lms[j])):
             continue  # coprime leading monomials
@@ -313,6 +324,7 @@ def buchberger(generators: Sequence[Polynomial], order=GREVLEX) -> list:
         r = red.reduce(h)[0]
         if r:
             red.add(_normalized(r, p))
+            excess.append(pair_sugar - sum(lms[-1]))
             add_pairs(len(lms) - 1)
 
     # minimal basis: visit by ascending leading monomial, keep an element only

@@ -8,18 +8,19 @@ Each schema dict is compiled once, at import, into a nested Python predicate
 (``_compile``). The predicate is one-sided: when it accepts an instance,
 jsonschema accepts it too. It may refuse an instance jsonschema would accept
 (``1.0`` for an integer, a bool in an enum, a tuple for an array); only then
-does the ``Draft202012Validator`` run, which raises with jsonschema's own
-message or passes. So every verdict and every message is jsonschema's, and
-jsonschema runs only to explain a rejection. The compiler knows only the
-keywords these schemas use and raises on any other.
+is jsonschema imported and the schema's ``Draft202012Validator`` built (once,
+on its first refusal), which raises with jsonschema's own message or passes.
+So every verdict and every message is jsonschema's, and an accepted instance
+never loads jsonschema. ``ValidationError`` is jsonschema's class, resolved
+on first access. The compiler knows only the keywords these schemas use and
+raises on any other.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
-
-import jsonschema
 
 from .blowup import MAX_DEGREE_BOUND, MAX_LEVEL_BOUND
 from .errors import InternalError
@@ -391,23 +392,40 @@ def _array_check(schema: dict):
 
 # Built once: neither a predicate nor a validator holds state between calls.
 _INPUT_CHECK = _compile(INPUT_SCHEMA)
-_INPUT_VALIDATOR = jsonschema.Draft202012Validator(INPUT_SCHEMA)
 _OUTPUT_CHECKS = {command: _compile(schema) for command, schema in OUTPUT_SCHEMAS.items()}
-_OUTPUT_VALIDATORS = {
-    command: jsonschema.Draft202012Validator(schema)
-    for command, schema in OUTPUT_SCHEMAS.items()
-}
+
+
+@functools.cache
+def _validator(command: str | None):
+    """jsonschema's validator for a command's report schema, or for the input
+    schema when ``command`` is None, built on the first refusal."""
+    import jsonschema
+
+    return jsonschema.Draft202012Validator(
+        INPUT_SCHEMA if command is None else OUTPUT_SCHEMAS[command]
+    )
+
+
+def __getattr__(name: str):
+    # PEP 562: ``schemas.ValidationError`` imports jsonschema on first access
+    if name == "ValidationError":
+        import jsonschema
+
+        return jsonschema.ValidationError
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def validate_input(obj) -> None:
     if not _INPUT_CHECK(obj):
-        _INPUT_VALIDATOR.validate(obj)
+        _validator(None).validate(obj)
 
 
 def validate_output(command: str, obj) -> None:
     if _OUTPUT_CHECKS[command](obj):
         return
+    import jsonschema
+
     try:
-        _OUTPUT_VALIDATORS[command].validate(obj)
+        _validator(command).validate(obj)
     except jsonschema.ValidationError as exc:
         raise InternalError(f"{command} report fails its schema: {exc.message}") from exc

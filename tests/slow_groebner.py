@@ -2,14 +2,22 @@
 
 This is the engine ``gradealg.groebner`` used before its term-list kernel:
 the same pair criteria (coprime leading monomials, chain criterion) and
-normal selection, but every division step builds a new ``Polynomial`` and
+sugar selection, but every division step builds a new ``Polynomial`` and
 every comparison recomputes ``order.key``. Reduced bases are unique, so the
 kernel must return exactly what this returns.
 """
 
 from itertools import combinations
 
-from gradealg.polynomials import GREVLEX, Polynomial, mon_div, mon_divides, mon_lcm, mon_mul
+from gradealg.polynomials import (
+    GREVLEX,
+    Polynomial,
+    mon_degree,
+    mon_div,
+    mon_divides,
+    mon_lcm,
+    mon_mul,
+)
 
 
 def _canon_key(g: Polynomial, order):
@@ -61,16 +69,25 @@ def buchberger(generators, order=GREVLEX) -> list:
     work.sort(key=lambda g: _canon_key(g, order))
 
     lms = [g.leading_monomial(order) for g in work]
-    pending = {}
+    # sugar: a generator's is its total degree, a pair's the larger of
+    # sugar_i + deg t_i and sugar_j + deg t_j, a new element takes its pair's
+    sugar = [g.total_degree() for g in work]
+    pending = {}  # pair -> (sugar, lcm)
+
+    def queue(i: int, j: int):
+        lcm = mon_lcm(lms[i], lms[j])
+        s = max(sugar[k] + mon_degree(lcm) - mon_degree(lms[k]) for k in (i, j))
+        pending[(i, j)] = (s, lcm)
+
     for i, j in combinations(range(len(work)), 2):
-        pending[(i, j)] = mon_lcm(lms[i], lms[j])
+        queue(i, j)
 
     def pair_of(a: int, b: int):
         return (a, b) if a < b else (b, a)
 
     while pending:
-        (i, j) = min(pending, key=lambda p: (sum(pending[p]), p))
-        lcm_ij = pending.pop((i, j))
+        (i, j) = min(pending, key=lambda p: (pending[p][0], mon_degree(pending[p][1]), p))
+        sugar_ij, lcm_ij = pending.pop((i, j))
         if lcm_ij == mon_mul(lms[i], lms[j]):
             continue  # coprime leading monomials
         chain = any(
@@ -89,8 +106,9 @@ def buchberger(generators, order=GREVLEX) -> list:
             new = len(work)
             work.append(r)
             lms.append(r.leading_monomial(order))
+            sugar.append(sugar_ij)
             for k in range(new):
-                pending[(k, new)] = mon_lcm(lms[k], lms[new])
+                queue(k, new)
 
     # minimal basis: visit by ascending leading monomial, keep an element only
     # if no kept leading monomial divides its own (equal ones keep the first)

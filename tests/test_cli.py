@@ -442,3 +442,31 @@ def test_linear_generator_is_rejected_before_any_basis(tmp_path, monkeypatch, ca
     assert main(["check-iso", "--input", _write_spec(tmp_path, spec)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: J has degree-1 generators (x1 - x2, x1)")
+
+
+# one row per exit-1 message of cli.py that a schema-valid input reaches
+@pytest.mark.parametrize(
+    "command,spec,message",
+    [
+        (
+            "cohomology",
+            {"variables": ["x1", "x2"], "facets": [[1], [2]], "I": ["x1"],
+             "options": {"window": [2, -2]}},
+            "empty window [2, -2]",
+        ),
+        (
+            "dim",
+            {"variables": ["x1", "x2", "x3"], "facets": [[1, 5]], "I": ["x1"]},
+            "facet vertex 5 exceeds variable count 3",
+        ),
+        (
+            # x3 is in no facet, so I = (x3) is zero modulo J
+            "dim",
+            {"variables": ["x1", "x2", "x3"], "facets": [[1, 2]], "I": ["x3"]},
+            "I is zero in A; the blowup pipeline needs a nonzero ideal",
+        ),
+    ],
+)
+def test_rejection_messages(tmp_path, capsys, command, spec, message):
+    assert main([command, "--input", _write_spec(tmp_path, spec)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
