@@ -13,15 +13,29 @@ the parsed arguments. The handler returns ``(fields, lines, code)``: the
 report fields past the ``command``/``field``/``variables`` envelope, the
 stdout lines and the exit code. ``main`` adds the envelope, validates the
 report against its output schema, writes ``--json`` and prints the lines.
+
+``_parse_args`` reads argv with ``_read_argv`` first. That reader accepts
+only one command of ``_COMMANDS``; the exact long options ``--input``,
+``--field``, ``--window``, ``--json`` and ``--module``, each written as
+``--opt value`` or ``--opt=value``; and ``--allow-linear``. It returns a
+namespace only where argparse would accept the argv and return the same
+fields: a repeated option keeps its last value, and every ``--module``
+value must be ``A`` or ``R``. Anything else returns ``None``, and the
+argparse parser of ``_build_parser`` reads the argv instead: ``-h`` and
+``--help``, abbreviations, a ``--opt value`` whose value starts with ``-``,
+an unknown option, ``--``, a second positional, a missing ``--input`` or
+command, and ``--module`` on a command other than ``cohomology``. So
+``--help``, every usage error and its message are argparse's own, and
+argparse is imported only to produce them.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from . import schemas
@@ -326,16 +340,55 @@ _COMMANDS = {
 _HANDLERS = {name: handler for name, (handler, _) in _COMMANDS.items()}
 
 
-class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors exit with the input-error code."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+# long options that take one value; --allow-linear is the only flag
+_VALUED = ("--input", "--field", "--window", "--json", "--module")
 
 
-def _build_parser() -> _Parser:
+def _read_argv(argv) -> SimpleNamespace | None:
+    """The fields argparse would read from ``argv``, or ``None`` where the
+    argv is outside the plain forms this reader knows (module docstring)."""
+    fields = dict.fromkeys(("command", "input", "field", "window", "json", "module"))
+    allow_linear = False
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--allow-linear":
+            allow_linear = True
+        elif not token.startswith("-"):
+            if fields["command"] is not None or token not in _HANDLERS:
+                return None
+            fields["command"] = token
+        else:
+            name, eq, value = token.partition("=")
+            if name not in _VALUED:
+                return None
+            if not eq:
+                value = next(tokens, None)
+                # argparse reads some values that start with "-" as options
+                if value is None or value.startswith("-"):
+                    return None
+            # argparse checks the choice on every occurrence, not the last
+            if name == "--module" and value not in ("A", "R"):
+                return None
+            fields[name[2:]] = value
+    if fields["command"] is None or fields["input"] is None:
+        return None
+    # a usage error of _parse_args, which argparse's parser reports
+    if fields["module"] is not None and fields["command"] != "cohomology":
+        return None
+    return SimpleNamespace(allow_linear=allow_linear, **fields)
+
+
+def _build_parser():
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Argument parser whose usage errors exit with the input-error code."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"error: {message}", file=sys.stderr)
+            raise SystemExit(1)
+
     parser = _Parser(
         prog="gradealg",
         description="Associated graded rings, Rees algebras and their local cohomology.",
@@ -368,12 +421,14 @@ def _build_parser() -> _Parser:
 
 def _parse_args(argv):
     """Parsed argv; ``--module`` defaults to A for cohomology only."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _read_argv(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        if args.command != "cohomology" and args.module is not None:
+            parser.error("--module applies to the cohomology command only")
     if args.command == "cohomology":
         args.module = args.module or "A"
-    elif args.module is not None:
-        parser.error("--module applies to the cohomology command only")
     return args
 
 

@@ -2,10 +2,21 @@
 
 It is the oracle for ``gradealg.cli._parse_args``, whose single flat
 parser must read every valid argv the same way and reject what this one
-rejects with the same exit code.
+rejects with the same exit code. It has its own parser class, so it
+shares no code with the parser under test.
 """
 
-from gradealg.cli import _Parser
+import argparse
+import sys
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 1, the CLI's input-error code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(1)
 
 
 def _build_parser() -> _Parser:

@@ -85,6 +85,28 @@ def test_custom_y_names_and_t_clash():
     assert ok.ring.variables == ("Y1", "x", "Z")
 
 
+_R = PolyRing(("x1", "x2"), QQ)
+_OTHER = PolyRing(("y1", "y2"), QQ)
+
+
+# one row per rejection message no other test reaches
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: rees_presentation(Ideal.parse(_R, ["x1*x2"]), [_OTHER.parse("y1")]),
+         "ideal generators must live in the base ring"),
+        (lambda: rees_presentation(Ideal(_R, []), [_R.parse("x1"), _R.parse("x2")], y_names=["T"]),
+         "need one Y-name per generator"),
+        (lambda: is_graded_relation(_R.parse("x1"), Ideal.parse(_R, ["x1*x2"]), [_R.parse("x1")]),
+         "relation must live in the presentation ring"),
+    ],
+)
+def test_rejection_messages(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_input_validation():
     R, J, f = setup("x,y", ["x^2"], ["x"])
     with pytest.raises(ValueError):

@@ -93,6 +93,27 @@ def test_degenerate_inputs_rejected():
         decide_iso(Ideal.parse(R, ["x1^2 - x2"]), f)  # J inhomogeneous
 
 
+_R = PolyRing(("x1", "x2"), QQ)
+_OTHER = PolyRing(("y1", "y2"), QQ)
+
+
+# one row per rejection message no other test reaches
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: decide_iso(Ideal.parse(_R, ["x1*x2"]), Ideal.parse(_OTHER, ["y1"])),
+         "I and J must share the ambient ring"),
+        (lambda: decide_iso(Ideal.parse(_R, ["x1*x2"]), []), "I must be nonzero"),
+        # a constant is homogeneous of degree 0, so J = (1) passes the degree checks
+        (lambda: decide_iso(Ideal(_R, [_R.one]), [_R.parse("x1")]), "I is the unit ideal modulo J"),
+    ],
+)
+def test_rejection_messages(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_maximal_ideal_always_isomorphic():
     rng = random.Random(41)
     for _ in range(6):

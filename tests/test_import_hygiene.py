@@ -1,7 +1,7 @@
-"""jsonschema stays off the import path and the accept path.
+"""jsonschema and argparse stay off the import path and the accept path.
 
 Each test runs a fresh interpreter, since this process has long imported
-jsonschema for the oracle tests.
+jsonschema and argparse for the oracle tests.
 """
 
 import json
@@ -18,10 +18,16 @@ from gradealg.schemas import INPUT_SCHEMA
 ROOT = Path(__file__).parent.parent
 DATA = Path(__file__).parent / "data"
 
-# runs the CLI, then prints on its last stdout line whether jsonschema is loaded
+# the modules only a rejection, --help or a usage error may load
+_LAZY = ("jsonschema", "argparse", "gettext", "locale")
+# prints the loaded ones of _LAZY, space-separated on one line, and exits with `code`
+_LOADED = f"print(*(m for m in {_LAZY!r} if m in sys.modules)); sys.exit(code)"
+# runs the CLI, then prints on its last stdout line which of _LAZY are loaded;
+# --help and usage errors exit through SystemExit
 _MAIN = (
-    "import sys; from gradealg.cli import main; code = main(sys.argv[1:]); "
-    "print('jsonschema' in sys.modules); sys.exit(code)"
+    "import sys; from gradealg.cli import main\n"
+    "try: code = main(sys.argv[1:])\n"
+    "except SystemExit as exc: code = exc.code\n" + _LOADED
 )
 
 
@@ -33,17 +39,30 @@ def _python(*args) -> subprocess.CompletedProcess:
     )
 
 
-def test_import_cli_leaves_jsonschema_unloaded():
-    proc = _python("-c", "import sys, gradealg.cli; print('jsonschema' in sys.modules)")
+def test_import_cli_leaves_jsonschema_and_argparse_unloaded():
+    proc = _python("-c", "import sys, gradealg.cli; code = 0; " + _LOADED)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "\n"
 
 
-def test_accepted_request_leaves_jsonschema_unloaded():
+def test_accepted_request_leaves_jsonschema_and_argparse_unloaded():
     proc = _python("-c", _MAIN, "dim", "--input", str(DATA / "path.json"))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == ""
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--help"], 0),
+        (["dim", "--input", str(DATA / "path.json"), "--module", "R"], 1),
+    ],
+)
+def test_help_and_usage_errors_load_argparse(argv, code):
+    proc = _python("-c", _MAIN, *argv)
+    assert proc.returncode == code, proc.stderr
+    assert "argparse" in proc.stdout.splitlines()[-1].split()
 
 
 def test_rejected_request_loads_jsonschema_for_its_message():
@@ -52,5 +71,6 @@ def test_rejected_request_loads_jsonschema_for_its_message():
         jsonschema.Draft202012Validator(INPUT_SCHEMA).validate(spec)
     proc = _python("-c", _MAIN, "dim", "--input", str(DATA / "missing_i.json"))
     assert proc.returncode == 1
-    assert proc.stdout == "True\n"
+    loaded = proc.stdout.split()
+    assert "jsonschema" in loaded and "argparse" not in loaded
     assert proc.stderr == f"error: invalid problem description: {exc.value.message}\n"
