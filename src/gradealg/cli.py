@@ -14,19 +14,21 @@ report fields past the ``command``/``field``/``variables`` envelope, the
 stdout lines and the exit code. ``main`` adds the envelope, validates the
 report against its output schema, writes ``--json`` and prints the lines.
 
-``_parse_args`` reads argv with ``_read_argv`` first. That reader accepts
-only one command of ``_COMMANDS``; the exact long options ``--input``,
-``--field``, ``--window``, ``--json`` and ``--module``, each written as
-``--opt value`` or ``--opt=value``; and ``--allow-linear``. It returns a
-namespace only where argparse would accept the argv and return the same
-fields: a repeated option keeps its last value, and every ``--module``
-value must be ``A`` or ``R``. Anything else returns ``None``, and the
-argparse parser of ``_build_parser`` reads the argv instead: ``-h`` and
-``--help``, abbreviations, a ``--opt value`` whose value starts with ``-``,
-an unknown option, ``--``, a second positional, a missing ``--input`` or
-command, and ``--module`` on a command other than ``cohomology``. So
-``--help``, every usage error and its message are argparse's own, and
-argparse is imported only to produce them.
+``_parse_args`` reads argv with ``_read_argv`` first. Both it and the
+argparse parser of ``_build_parser`` take their options from ``_OPTIONS``.
+The reader accepts only one command of ``_COMMANDS``; the exact long
+options that take a value, each written as ``--opt value`` or
+``--opt=value``; and ``--allow-linear``. It returns a namespace only where
+argparse would accept the argv and return the same fields: a repeated
+option keeps its last value, and every value of an option with choices
+must be one of them. Anything else returns ``None``, and argparse reads
+the argv instead: ``-h`` and ``--help``, abbreviations, a ``--opt value``
+whose value starts with ``-``, an unknown option, ``--``, a second
+positional, and a missing ``--input`` or command. After either route
+``_parse_args`` rejects ``--module`` on a command other than
+``cohomology`` through argparse's ``error``. So ``--help``, every usage
+error and its message are argparse's own, and argparse is imported only to
+produce them.
 """
 
 from __future__ import annotations
@@ -340,26 +342,34 @@ _COMMANDS = {
 _HANDLERS = {name: handler for name, (handler, _) in _COMMANDS.items()}
 
 
-# long options that take one value; --allow-linear is the only flag
-_VALUED = ("--input", "--field", "--window", "--json", "--module")
+# long option -> (help, choices), in --help order; both parsers read this
+# table. --allow-linear is the only flag, --input the only required option.
+_OPTIONS = {
+    "--input": ("problem description JSON file", None),
+    "--field": ("override the field: Q or GF(p)", None),
+    "--window": ("degree window lo:hi (write --window=-10:2 for negative bounds)", None),
+    "--json": ("write the JSON report to this file", None),
+    "--allow-linear": ("accept degree-1 generators in the defining ideal", None),
+    "--module": ("cohomology only: which module to report on (default A)", ("A", "R")),
+}
 
 
 def _read_argv(argv) -> SimpleNamespace | None:
     """The fields argparse would read from ``argv``, or ``None`` where the
     argv is outside the plain forms this reader knows (module docstring)."""
-    fields = dict.fromkeys(("command", "input", "field", "window", "json", "module"))
-    allow_linear = False
+    fields = {"command": None, **{name[2:].replace("-", "_"): None for name in _OPTIONS}}
+    fields["allow_linear"] = False
     tokens = iter(argv)
     for token in tokens:
         if token == "--allow-linear":
-            allow_linear = True
+            fields["allow_linear"] = True
         elif not token.startswith("-"):
             if fields["command"] is not None or token not in _HANDLERS:
                 return None
             fields["command"] = token
         else:
             name, eq, value = token.partition("=")
-            if name not in _VALUED:
+            if name not in _OPTIONS or name == "--allow-linear":
                 return None
             if not eq:
                 value = next(tokens, None)
@@ -367,15 +377,13 @@ def _read_argv(argv) -> SimpleNamespace | None:
                 if value is None or value.startswith("-"):
                     return None
             # argparse checks the choice on every occurrence, not the last
-            if name == "--module" and value not in ("A", "R"):
+            choices = _OPTIONS[name][1]
+            if choices is not None and value not in choices:
                 return None
             fields[name[2:]] = value
     if fields["command"] is None or fields["input"] is None:
         return None
-    # a usage error of _parse_args, which argparse's parser reports
-    if fields["module"] is not None and fields["command"] != "cohomology":
-        return None
-    return SimpleNamespace(allow_linear=allow_linear, **fields)
+    return SimpleNamespace(**fields)
 
 
 def _build_parser():
@@ -399,23 +407,11 @@ def _build_parser():
     parser.add_argument(
         "command", choices=_HANDLERS, metavar="command", help="one of the commands below"
     )
-    parser.add_argument("--input", required=True, help="problem description JSON file")
-    parser.add_argument("--field", help="override the field: Q or GF(p)")
-    parser.add_argument(
-        "--window",
-        help="degree window lo:hi (write --window=-10:2 for negative bounds)",
-    )
-    parser.add_argument("--json", help="write the JSON report to this file")
-    parser.add_argument(
-        "--allow-linear",
-        action="store_true",
-        help="accept degree-1 generators in the defining ideal",
-    )
-    parser.add_argument(
-        "--module",
-        choices=["A", "R"],
-        help="cohomology only: which module to report on (default A)",
-    )
+    for name, (summary, choices) in _OPTIONS.items():
+        if name == "--allow-linear":
+            parser.add_argument(name, action="store_true", help=summary)
+        else:
+            parser.add_argument(name, required=name == "--input", choices=choices, help=summary)
     return parser
 
 
@@ -423,10 +419,9 @@ def _parse_args(argv):
     """Parsed argv; ``--module`` defaults to A for cohomology only."""
     args = _read_argv(sys.argv[1:] if argv is None else argv)
     if args is None:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
-        if args.command != "cohomology" and args.module is not None:
-            parser.error("--module applies to the cohomology command only")
+        args = _build_parser().parse_args(argv)
+    if args.command != "cohomology" and args.module is not None:
+        _build_parser().error("--module applies to the cohomology command only")
     if args.command == "cohomology":
         args.module = args.module or "A"
     return args

@@ -71,6 +71,8 @@ def test_rejected_request_loads_jsonschema_for_its_message():
         jsonschema.Draft202012Validator(INPUT_SCHEMA).validate(spec)
     proc = _python("-c", _MAIN, "dim", "--input", str(DATA / "missing_i.json"))
     assert proc.returncode == 1
-    loaded = proc.stdout.split()
+    # a rejection prints nothing but the marker line on stdout
+    (marker,) = proc.stdout.splitlines()
+    loaded = marker.split()
     assert "jsonschema" in loaded and "argparse" not in loaded
     assert proc.stderr == f"error: invalid problem description: {exc.value.message}\n"

@@ -3,6 +3,7 @@ argv reader in front of it against the flat parser alone."""
 
 import contextlib
 import io
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -118,13 +119,18 @@ def _run(argv) -> tuple:
     """``main``'s exit code, stdout and stderr, in a fresh working directory
     holding a copy of ``path.json`` (``--json`` may write over it)."""
     out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        shutil.copy(PATH_JSON, "path.json")
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            shutil.copy(PATH_JSON, "path.json")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        finally:
+            os.chdir(cwd)
     return code, out.getvalue(), err.getvalue()
 
 
