@@ -18,7 +18,7 @@ from .criterion import (
     variable_subset_basis,
     verify_iso_witness,
 )
-from .errors import AmbientMismatch, InternalError, LimitExceeded, ParseError, WindowUnderflow
+from .errors import AmbientMismatch, InternalError, LimitExceeded, ParseError
 from .fields import GF, QQ, parse_field
 from .groebner import (
     GradedHilbert,

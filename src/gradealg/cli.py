@@ -55,7 +55,6 @@ from .groebner import Ideal
 from .polynomials import GREVLEX, PolyRing
 from .rees_cohomology import (
     SplitSRData,
-    adic_a_invariant,
     assemble_rees_cohomology,
     decide_cm_rees,
     decide_gencm,
@@ -254,9 +253,8 @@ def _cmd_cohomology(problem: _Problem, spec: dict, args) -> tuple:
     else:
         data = SplitSRData.from_split(complex, _variable_basis(problem, complex))
         window = assemble_rees_cohomology(data, field, lo, hi)
-        dim_r = dim_rees(complex, data.b)
-        adic = adic_a_invariant(complex, data.b, field)
-        cm_r = decide_cm_rees(data, field).cm_rees
+        verdict = decide_cm_rees(data, field)
+        dim_r, adic, cm_r = verdict.dim_rees, verdict.a_adic, verdict.cm_rees
     table = window_table(window, lo, hi)
     report = {
         "module": args.module,

@@ -15,11 +15,9 @@ class AmbientMismatch(ValueError):
 
 
 class LimitExceeded(RuntimeError):
-    """A configured bound (power exponent, window size) was exceeded."""
-
-
-class WindowUnderflow(LimitExceeded):
-    """A cohomology window is too narrow for a requested exact value."""
+    """A configured budget was exceeded: ``POWER_BOUND``, ``VERTEX_BOUND``,
+    the level/degree bounds of a Rees presentation, ``MAX_STANDARD_MONOMIALS``
+    or ``MAX_REDUCTION_WORK``."""
 
 
 class InternalError(RuntimeError):

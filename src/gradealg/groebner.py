@@ -19,11 +19,11 @@ a reducer (see ``_Reducer``). Input denominators are cleared once, and the
 returned basis is made monic once, at the end. Each monomial's
 ``order.desc_key`` is computed once per run, so that a heap pops the largest
 monomial first. Division reduces into one mutable dict with such a heap;
-pending pairs sit in a heap keyed by (lcm degree, i, j). Only the returned basis is
-built back into ``Polynomial`` objects. The kernel is exact: no floats, no
-reduction mod a prime over Q; and since a reduced basis is unique it returns
-exactly what a ``Polynomial``-level engine returns (``tests/slow_groebner.py``
-is that engine, kept as oracle).
+pending pairs sit in a heap keyed by (sugar, lcm degree, i, j). Only the
+returned basis is built back into ``Polynomial`` objects. The kernel is
+exact: no floats, no reduction mod a prime over Q; and since a reduced basis
+is unique it returns exactly what a ``Polynomial``-level engine returns
+(``tests/slow_groebner.py`` is that engine, kept as oracle).
 
 Reduction work is counted deterministically; one Buchberger run, or one
 normal form, that exceeds ``MAX_REDUCTION_WORK`` raises ``LimitExceeded``.

@@ -82,15 +82,13 @@ class SplitSRData:
 class BandWindow:
     """Cohomology window of R(A1; m1) derived from a window of A1.
 
-    Exact wherever the base window is exact; the base is queried at the
-    same internal degree, one index down for the negative band.
+    Exact at every degree, like its base, which is queried at the same
+    internal degree, one index down for the negative band.
     """
 
     def __init__(self, base: CohomologyWindow):
         self.base = base
         self.max_index = base.max_index + 1
-        self.lo = base.lo
-        self.hi = base.hi
 
     def indices(self) -> range:
         return range(0, self.max_index + 1)

@@ -11,8 +11,8 @@ come from sparse elimination on the boundary matrices, on ints mod p over
 GF(p) and fraction-free over the integers for Q, so everything downstream
 of this module is exact as well. The per-index contribution profile does
 not depend on any degree window: it is computed once per (complex, field),
-and a window object is a rendering of it that answers dimension queries
-at any degree, not just inside the stored band.
+and a window object is a view of it that answers dimension queries at any
+degree; its band [lo, hi] only sets what ``table`` renders.
 
 Vanishing flags fall out of the same profile. A nonempty contributing face
 of size s forces nonzero dimensions at every degree <= -s, and size-1 faces
@@ -29,7 +29,7 @@ from itertools import combinations
 from math import comb, gcd
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import LimitExceeded, WindowUnderflow
+from .errors import LimitExceeded
 from .groebner import Ideal
 
 VERTEX_BOUND = 12
@@ -248,61 +248,40 @@ class IndexFlags(NamedTuple):
 
 
 class CohomologyWindow:
-    """Graded dimensions of local cohomology over a degree band, with the
-    exact per-index contribution profile when available.
+    """Graded dimensions of local cohomology of a face ring, read off its
+    per-index contribution profile (``contrib``, ``contrib_faces``, as
+    ``_profile`` returns them; the window keeps its own copies).
 
-    ``tables[i][j]`` stores nonzero dimensions for lo <= j <= hi. When the
-    window was built from a contribution profile, ``dim_at`` is exact at
-    every degree; a hand-built window raises WindowUnderflow outside its
-    band unless a flag settles the value.
+    ``dim_at`` and ``flag`` are exact at every degree; ``[lo, hi]`` only
+    picks the band that ``table`` renders.
     """
 
-    def __init__(
-        self,
-        lo: int,
-        hi: int,
-        tables: dict,
-        flags: dict,
-        max_index: int,
-        contrib: Optional[dict] = None,
-        contrib_faces: Optional[dict] = None,
-    ):
+    def __init__(self, lo: int, hi: int, max_index: int, contrib: dict, contrib_faces: dict):
         if lo > hi:
             raise ValueError("empty window")
         self.lo = lo
         self.hi = hi
-        self.tables = {i: dict(t) for i, t in tables.items()}
-        self.flags = dict(flags)
         self.max_index = max_index
-        self.contrib = None if contrib is None else {i: dict(c) for i, c in contrib.items()}
-        self.contrib_faces = (
-            None
-            if contrib_faces is None
-            else {i: tuple(fs) for i, fs in contrib_faces.items()}
-        )
+        self.contrib = {i: dict(c) for i, c in contrib.items()}
+        self.contrib_faces = {i: tuple(fs) for i, fs in contrib_faces.items()}
 
     def indices(self) -> range:
         return range(0, self.max_index + 1)
 
     def flag(self, i: int) -> IndexFlags:
-        return self.flags.get(i, IndexFlags(True, True, True))
-
-    def dim_at(self, i: int, j: int) -> int:
-        if self.contrib is not None:
-            return _profile_dim(self.contrib.get(i, {}), j)
-        if self.lo <= j <= self.hi:
-            return self.tables.get(i, {}).get(j, 0)
-        flags = self.flag(i)
-        if flags.is_zero:
-            return 0
-        if j <= -2 and flags.vanishes_below_minus_one:
-            return 0
-        raise WindowUnderflow(
-            f"degree {j} outside window [{self.lo}, {self.hi}] for index {i}"
+        profile = self.contrib.get(i, {})
+        only_empty = all(s == 0 for s in profile)
+        return IndexFlags(
+            is_zero=not profile,
+            finite_length=only_empty,
+            vanishes_below_minus_one=only_empty,
         )
 
+    def dim_at(self, i: int, j: int) -> int:
+        return _profile_dim(self.contrib.get(i, {}), j)
+
     def table(self, i: int) -> dict:
-        return dict(self.tables.get(i, {}))
+        return {j: v for j in range(self.lo, self.hi + 1) if (v := self.dim_at(i, j))}
 
 
 def _profile_dim(profile: dict, j: int) -> int:
@@ -406,24 +385,10 @@ def local_cohomology_window(
     lo: int = DEFAULT_WINDOW[0],
     hi: int = DEFAULT_WINDOW[1],
 ) -> CohomologyWindow:
-    """Graded local cohomology dimensions of the face ring over the window,
-    rendered from the cached contribution profile."""
+    """Graded local cohomology of the face ring, as a window on the cached
+    contribution profile that renders the band [lo, hi]."""
     contrib, contrib_faces = _profile(complex, field)
-    d = complex.dim + 1  # ring dimension, top cohomological index
-    tables: dict = {}
-    flags: dict = {}
-    for i in range(0, d + 1):
-        profile = contrib.get(i, {})
-        tables[i] = {
-            j: v for j in range(lo, hi + 1) if (v := _profile_dim(profile, j))
-        }
-        only_empty = all(s == 0 for s in profile)
-        flags[i] = IndexFlags(
-            is_zero=not profile,
-            finite_length=only_empty,
-            vanishes_below_minus_one=only_empty,
-        )
-    return CohomologyWindow(lo, hi, tables, flags, d, contrib, contrib_faces)
+    return CohomologyWindow(lo, hi, complex.dim + 1, contrib, contrib_faces)
 
 
 @dataclass(frozen=True)

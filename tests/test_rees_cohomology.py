@@ -1,5 +1,6 @@
 """Tests for blowup cohomology: band transform, tensor assembly, verdicts."""
 
+import random
 from itertools import combinations
 from math import comb
 
@@ -26,7 +27,7 @@ from gradealg import (
     window_table,
 )
 from tests.cech_oracle import local_cohomology_dim
-from tests.test_simplicial import RP2_FACETS
+from tests.test_simplicial import RP2_FACETS, random_complex
 
 TWO_POINTS = SimplicialComplex(range(2), [(0,), (1,)])
 EDGE = SimplicialComplex(range(2), [(0, 1)])
@@ -124,6 +125,46 @@ def test_assembly_reduces_to_band_when_c_empty():
                 af, bf = assembled.flag(q), band.flag(q)
                 assert af.is_zero == bf.is_zero
                 assert af.finite_length == bf.finite_length
+
+
+def _check_flags_against_dims(window, n, seen):
+    """Each flag of the window against its dimensions over [-(n+2), 0];
+    ``seen`` collects the flags met, by window class."""
+    for q in window.indices():
+        dims = {a: window.dim_at(q, a) for a in range(-(n + 2), 1)}
+        flag = window.flag(q)
+        assert flag.is_zero == (not any(dims.values()))
+        assert flag.finite_length == (not any(v for a, v in dims.items() if a <= -1))
+        assert flag.vanishes_below_minus_one == (not any(v for a, v in dims.items() if a <= -2))
+        seen.add((type(window).__name__, flag))
+
+
+def test_flags_agree_with_dimensions_on_random_splits():
+    rng = random.Random(37)
+    splits = []
+    for _ in range(40):
+        nb, nc = rng.randint(1, 4), rng.randint(1, 4)
+        complex = random_complex(rng, range(nb)).join(random_complex(rng, range(nb, nb + nc)))
+        splits.append(SplitSRData.from_split(complex, range(nb)))
+    # over GF(2), H^2 of k[RP2] is nonzero of finite length, and so are
+    # H^3 of its band and of the assembly
+    splits.append(SplitSRData.from_split(RP2, RP2.vertices))
+    seen = set()
+    for data in splits:
+        n = len(data.complex.vertices)
+        for field in (QQ, GF(2)):
+            assembled = assemble_rees_cohomology(data, field)
+            for window in (
+                local_cohomology_window(data.complex, field),
+                assembled.first.base,
+                assembled.second,
+                assembled.first,
+                assembled,
+            ):
+                _check_flags_against_dims(window, n, seen)
+    kinds = {(False, False, False), (False, True, True), (True, True, True)}
+    for name in ("CohomologyWindow", "BandWindow", "TensorWindow"):
+        assert {tuple(flag) for cls, flag in seen if cls == name} == kinds
 
 
 class _Stub:
