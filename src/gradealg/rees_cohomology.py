@@ -5,7 +5,10 @@ on the vertex set B and D2 on the complement, and I the ideal generated by
 the B-variables. Then A = A1 (x) A2 and the Rees ring R = A[It] factors as
 R(A1; m1) (x) A2, where m1 is the maximal graded ideal of A1 = k[D1].
 
-Two building blocks assemble H(R) from face-link data:
+Every window of R is a view of a contribution profile, as a face-ring
+window is: index i maps to {size s: rank r}, and the dimension in degree
+a < 0 is sum r * C(-a-1, s-1) (in degree 0, the size-0 rank). Two building
+blocks compute the profile of H(R) once, from the factor profiles:
 
 * a band transform producing H(R(A1; m1)) from H(A1) in the internal
   grading (the adjoined variables keep the degree of the elements they
@@ -15,16 +18,21 @@ Two building blocks assemble H(R) from face-link data:
                             0                            for a = -1,
                             (-a-1) * dim H^(i-1)(A1)_a   for a <= -2;
 
+  with n = -a-1, n * C(n, s-1) = s * C(n, s) + (s-1) * C(n, s-1), so the
+  band moves each size-s entry of index i-1 to sizes s+1 and s of index i;
+
 * a tensor assembly for modules whose cohomology vanishes in positive
   degrees, where the degree-a piece is the finite convolution over splits
   a = alpha + beta with alpha, beta in [a, 0]:
 
       dim H^q(M (x) N)_a = sum_(i+j=q) sum_(alpha+beta=a)
-                               dim H^i(M)_alpha * dim H^j(N)_beta.
+                               dim H^i(M)_alpha * dim H^j(N)_beta;
 
-All dimensions here are nonnegative, so vanishing statements about the
-assembled module reduce to vanishing statements about the factors; the
-flag calculus below needs no cancellation argument.
+  as sum_m C(m, s-1) * C(N-m, t-1) = C(N+1, s+t-1), the product profile
+  is the product of the factor profiles, with sizes and indices adding.
+
+All ranks are positive, so no entry cancels, and every window reads its
+vanishing flags off its profile by the one rule of ``_profile_flag``.
 
 Whether R is Cohen-Macaulay is NOT visible from the standard grading of
 H^dim(A) alone. The t-grading of R restricts, on the associated graded
@@ -49,6 +57,8 @@ from .simplicial import (
     IndexFlags,
     SimplicialComplex,
     _profile,
+    _profile_dim,
+    _profile_flag,
     local_cohomology_window,
     restrict_complex,
     sr_invariants,
@@ -80,82 +90,64 @@ class SplitSRData:
 
 
 class BandWindow:
-    """Cohomology window of R(A1; m1) derived from a window of A1.
+    """Cohomology window of R(A1; m1), its profile derived once from that of A1.
 
-    Exact at every degree, like its base, which is queried at the same
-    internal degree, one index down for the negative band.
+    A size-s entry (s >= 1) of index i-1 of the base becomes sizes s+1 and
+    s of index i, ranks s*r and (s-1)*r; the size-0 entry of index i stays.
+    Exact at every degree, like its base.
     """
 
     def __init__(self, base: CohomologyWindow):
         self.base = base
         self.max_index = base.max_index + 1
+        self.contrib: dict = {}
+        for i in self.indices():
+            row = {s: r for s, r in base.contrib.get(i, {}).items() if s == 0}
+            for s, r in base.contrib.get(i - 1, {}).items():
+                if s >= 1:
+                    row[s + 1] = row.get(s + 1, 0) + s * r
+                if s >= 2:
+                    row[s] = row.get(s, 0) + (s - 1) * r
+            if row:
+                self.contrib[i] = row
 
     def indices(self) -> range:
         return range(0, self.max_index + 1)
 
     def dim_at(self, i: int, a: int) -> int:
-        if a >= 0:
-            return (a + 1) * self.base.dim_at(i, a)
-        if a == -1:
-            return 0
-        return (-a - 1) * self.base.dim_at(i - 1, a)
+        return _profile_dim(self.contrib.get(i, {}), a)
 
     def flag(self, i: int) -> IndexFlags:
-        upper = self.base.flag(i)
-        lower = self.base.flag(i - 1)
-        zero_nonneg = upper.is_zero or self.base.dim_at(i, 0) == 0
-        zero_low = lower.is_zero or lower.vanishes_below_minus_one
-        finite = zero_low
-        return IndexFlags(
-            is_zero=zero_nonneg and zero_low,
-            finite_length=finite,
-            vanishes_below_minus_one=finite,
-        )
+        return _profile_flag(self.contrib.get(i, {}))
 
 
 class TensorWindow:
-    """Cohomology window of M (x) N for factors vanishing in positive degrees."""
+    """Cohomology window of M (x) N for factors vanishing in positive degrees.
+
+    Its profile is the product of the factor profiles as polynomials in the
+    size: indices add, sizes add, ranks multiply.
+    """
 
     def __init__(self, first, second):
         self.first = first
         self.second = second
         self.max_index = first.max_index + second.max_index
+        self.contrib: dict = {}
+        for i, left in first.contrib.items():
+            for j, right in second.contrib.items():
+                row = self.contrib.setdefault(i + j, {})
+                for s, r in left.items():
+                    for t, u in right.items():
+                        row[s + t] = row.get(s + t, 0) + r * u
 
     def indices(self) -> range:
         return range(0, self.max_index + 1)
 
     def dim_at(self, q: int, a: int) -> int:
-        if a > 0:
-            return 0
-        total = 0
-        for i in range(0, min(q, self.first.max_index) + 1):
-            j = q - i
-            if j > self.second.max_index:
-                continue
-            for alpha in range(a, 1):
-                left = self.first.dim_at(i, alpha)
-                if left:
-                    total += left * self.second.dim_at(j, a - alpha)
-        return total
+        return _profile_dim(self.contrib.get(q, {}), a)
 
     def flag(self, q: int) -> IndexFlags:
-        is_zero = True
-        finite = True
-        below = True
-        for i in range(0, min(q, self.first.max_index) + 1):
-            j = q - i
-            if j > self.second.max_index:
-                continue
-            f1 = self.first.flag(i)
-            f2 = self.second.flag(j)
-            if f1.is_zero or f2.is_zero:
-                continue
-            is_zero = False
-            if not (f1.finite_length and f2.finite_length):
-                finite = False
-            if not (f1.vanishes_below_minus_one and f2.vanishes_below_minus_one):
-                below = False
-        return IndexFlags(is_zero, finite_length=finite, vanishes_below_minus_one=below)
+        return _profile_flag(self.contrib.get(q, {}))
 
 
 def assemble_rees_cohomology(

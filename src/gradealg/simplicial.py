@@ -269,13 +269,7 @@ class CohomologyWindow:
         return range(0, self.max_index + 1)
 
     def flag(self, i: int) -> IndexFlags:
-        profile = self.contrib.get(i, {})
-        only_empty = all(s == 0 for s in profile)
-        return IndexFlags(
-            is_zero=not profile,
-            finite_length=only_empty,
-            vanishes_below_minus_one=only_empty,
-        )
+        return _profile_flag(self.contrib.get(i, {}))
 
     def dim_at(self, i: int, j: int) -> int:
         return _profile_dim(self.contrib.get(i, {}), j)
@@ -291,6 +285,18 @@ def _profile_dim(profile: dict, j: int) -> int:
     if j == 0:
         return profile.get(0, 0)
     return sum(r * comb(-j - 1, s - 1) for s, r in profile.items() if s >= 1)
+
+
+def _profile_flag(profile: dict) -> IndexFlags:
+    """Flags of one index, from its contribution profile (all ranks positive):
+    it vanishes iff the profile is empty, and it is finite length, as well as
+    zero below degree -1, iff only size 0 occurs."""
+    only_size_zero = all(s == 0 for s in profile)
+    return IndexFlags(
+        is_zero=not profile,
+        finite_length=only_size_zero,
+        vanishes_below_minus_one=only_size_zero,
+    )
 
 
 def restrict_complex(complex: SimplicialComplex, vertices: Iterable[int]) -> SimplicialComplex:

@@ -10,11 +10,11 @@ from gradealg import (
     GF,
     QQ,
     BandWindow,
+    CohomologyWindow,
     Ideal,
     PolyRing,
     SimplicialComplex,
     SplitSRData,
-    TensorWindow,
     adic_a_invariant,
     assemble_rees_cohomology,
     decide_cm_rees,
@@ -26,6 +26,7 @@ from gradealg import (
     restrict_complex,
     window_table,
 )
+from tests import convolution_oracle as oracle
 from tests.cech_oracle import local_cohomology_dim
 from tests.test_simplicial import RP2_FACETS, random_complex
 
@@ -184,7 +185,7 @@ class _Stub:
 def test_tensor_assembly_is_the_degreewise_convolution():
     first = _Stub({(1, -1): 2, (1, -2): 1, (2, 0): 3})
     second = _Stub({(0, 0): 1, (1, -1): 3})
-    tw = TensorWindow(first, second)
+    tw = oracle.TensorWindow(first, second)
     for q in range(0, 4):
         for a in range(-4, 1):
             expected = 0
@@ -195,9 +196,56 @@ def test_tensor_assembly_is_the_degreewise_convolution():
                     )
             assert tw.dim_at(q, a) == expected
     assert tw.dim_at(2, -2) == 2 * 3 + 0
-    doubled = TensorWindow(first, _Stub({(0, 0): 1, (1, -1): 6}))
+    doubled = oracle.TensorWindow(first, _Stub({(0, 0): 1, (1, -1): 6}))
     assert doubled.dim_at(2, -2) - tw.dim_at(2, -2) == 2 * 3
     assert doubled.dim_at(1, -1) == tw.dim_at(1, -1)
+
+
+def _assert_same_window(window, expected, n):
+    assert window.max_index == expected.max_index
+    assert window_table(window, -(n + 4), 3) == window_table(expected, -(n + 4), 3)
+    for q in range(-1, expected.max_index + 2):
+        assert window.flag(q) == expected.flag(q)
+
+
+def test_profile_windows_match_convolution_oracle():
+    rng = random.Random(41)
+    splits = [
+        SplitSRData.from_split(RP2, RP2.vertices),
+        SplitSRData.from_split(RP2, ()),
+        SplitSRData.from_split(CONE_RP2, (6,)),
+    ]
+    for _ in range(300):
+        nb, nc = rng.randint(1, 4), rng.randint(0, 3)
+        complex = random_complex(rng, range(nb))
+        if nc:
+            complex = complex.join(random_complex(rng, range(nb, nb + nc)))
+        splits.append(SplitSRData.from_split(complex, range(nb)))
+    for data in splits:
+        n = len(data.complex.vertices)
+        for field in (QQ, GF(2), GF(3)):
+            assembled = assemble_rees_cohomology(data, field)
+            band = oracle.BandWindow(assembled.first.base)
+            _assert_same_window(assembled.first, band, n)
+            _assert_same_window(assembled, oracle.TensorWindow(band, assembled.second), n)
+
+
+def test_wide_window_reads_no_factor_cells(monkeypatch):
+    calls = []
+    dim_at = CohomologyWindow.dim_at
+
+    def counted(self, i, a):
+        calls.append((i, a))
+        return dim_at(self, i, a)
+
+    monkeypatch.setattr(CohomologyWindow, "dim_at", counted)
+    window = assemble_rees_cohomology(SplitSRData.from_split(PATH, (0, 1)), QQ)
+    table = window_table(window, -2000, 0)
+    assert calls == []
+    assert (table[2][-2000], table[3][-2000]) == (1, 2 * comb(1999, 2))
+    expected = oracle.TensorWindow(oracle.BandWindow(window.first.base), window.second)
+    narrow = {i: {a: v for a, v in row.items() if a >= -60} for i, row in table.items()}
+    assert narrow == window_table(expected, -60, 0)
 
 
 def test_window_table_shape():
