@@ -16,14 +16,20 @@ no ``Fraction`` enters the run. Division is fraction-free over Q: reducers
 are primitive integer polynomials, and a reduction step multiplies the
 accumulator by a nonzero integer before it subtracts an integer multiple of
 a reducer (see ``_Reducer``). Input denominators are cleared once, and the
-returned basis is made monic once, at the end. Each monomial's
-``order.desc_key`` is computed once per run, so that a heap pops the largest
-monomial first. Division reduces into one mutable dict with such a heap;
-pending pairs sit in a heap keyed by (sugar, lcm degree, i, j). Only the
-returned basis is built back into ``Polynomial`` objects. The kernel is
-exact: no floats, no reduction mod a prime over Q; and since a reduced basis
-is unique it returns exactly what a ``Polynomial``-level engine returns
-(``tests/slow_groebner.py`` is that engine, kept as oracle).
+returned basis is made monic once, at the end. A monomial is one int
+(``_Packing``): the fields of ``order.desc_key`` above the exponents, so
+that a product is ``+``, a quotient ``-``, a smaller int is a larger
+monomial and a divisibility test a few int operations. Monomials are
+packed once, as the input terms are read, and unpacked only in the returned
+basis and in nonzero remainders; pair bookkeeping (lcm, sugar) stays on
+exponent tuples. The fields are sized from the input; a run whose exponents
+outgrow them restarts with wider ones and takes the same steps. Division
+reduces into one mutable dict with a heap of packed monomials; pending pairs
+sit in a heap keyed by (sugar, lcm degree, i, j). Only the returned basis is
+built back into ``Polynomial`` objects. The kernel is exact: no floats, no
+reduction mod a prime over Q; and since a reduced basis is unique it returns
+exactly what a ``Polynomial``-level engine returns (``tests/slow_groebner.py``
+is that engine, kept as oracle).
 
 Reduction work is counted deterministically; one Buchberger run, or one
 normal form, that exceeds ``MAX_REDUCTION_WORK`` raises ``LimitExceeded``.
@@ -47,7 +53,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, combinations_with_replacement
 from math import gcd
-from operator import add, le, mul, sub
+from operator import add, le, mul
 from typing import Sequence
 
 from .errors import AmbientMismatch, LimitExceeded
@@ -106,23 +112,99 @@ class Ideal:
         return f"({', '.join(str(g) for g in self.generators) or '0'})"
 
 
-def _plain(f: Polynomial) -> tuple:
-    """(d, terms): the terms of d*f with plain int coefficients. Over GF(p)
-    d is 1 and the coefficients are residues in [0, p); over Q d is the lcm
-    of f's denominators."""
+class _Overflow(Exception):
+    """An exponent too wide for the packed fields: the run restarts with
+    wider ones."""
+
+
+class _Packing:
+    """Monomials of ``nvars`` variables as single ints, for one order and width.
+
+    The low ``nvars * width`` bits hold the exponents, variable i in the
+    ``width``-bit field at bit ``width * i``, whose top bit is a guard that
+    every exponent leaves clear. The bits above hold the fields of
+    ``order.desc_key``, the first the most significant. Each field of the
+    key is plus or minus a sum of exponents, so packing is linear:
+    ``pack(m)`` is the dot product of m with the packed unit vectors, a
+    product of two monomials is the sum of their ints and a quotient the
+    difference. A key field below the first gets the bits of its range over
+    exponents below the guard, so ints compare as the keys do: the smaller
+    int is the larger monomial. A monomial divides another iff no guard bit
+    is lost in ``(m | guard) - lm``. See math-notes §8, "Packed monomials".
+
+    Input exponents stay below ``room``, a quarter of the guard, which
+    leaves room for the growth of a typical run.
+    """
+
+    __slots__ = ("width", "guard", "room", "units", "_low", "_nbytes")
+
+    def __init__(self, order, nvars: int, width: int):
+        # a key field lies in [-nvars * top, nvars * top], top < 2^(width-1)
+        # the largest exponent below the guard: ``bits`` bits keep it apart
+        bits = width + nvars.bit_length()
+        # the packed unit vectors' key parts, from one key: linearity makes
+        # the key of (X^0, ..., X^(n-1)), packed, the sum of their X^i, and
+        # X = 2^step exceeds twice each of them, so they are its signed
+        # base-X digits
+        step = bits * len(order.desc_key((0,) * nvars)) + 1
+        packed = 0
+        for f in order.desc_key(tuple(1 << step * i for i in range(nvars))):
+            packed = (packed << bits) + f
+        low = nvars * width
+        units = []
+        for i in range(nvars):
+            digit = packed & ((1 << step) - 1)
+            if digit >> (step - 1):
+                digit -= 1 << step
+            packed = (packed - digit) >> step
+            units.append((digit << low) + (1 << width * i))
+        self.width = width
+        self.units = units
+        self._low = (1 << low) - 1
+        self._nbytes = low // 8
+        self.guard = self._low // ((1 << width) - 1) << (width - 1)
+        self.room = 1 << (width - 3)
+
+    def pack(self, m) -> int:
+        return sum(map(mul, m, self.units))
+
+    def unpack(self, m: int) -> tuple:
+        data = (m & self._low).to_bytes(self._nbytes, "little")
+        if self.width == 8:
+            return tuple(data)
+        step = self.width // 8
+        return tuple(int.from_bytes(data[k:k + step], "little") for k in range(0, len(data), step))
+
+
+@lru_cache(maxsize=64)
+def _packing(order, nvars: int, width: int) -> _Packing:
+    return _Packing(order, nvars, width)
+
+
+def _plain(f: Polynomial, packing: _Packing) -> tuple:
+    """(d, terms): the terms of d*f with plain int coefficients and packed
+    monomials. Over GF(p) d is 1 and the coefficients are residues in
+    [0, p); over Q d is the lcm of f's denominators. An exponent past
+    ``packing.room`` raises ``_Overflow``."""
+    units = packing.units
+    if units and f.terms and max(map(max, f.terms)) >= packing.room:
+        raise _Overflow
     field = f.ring.field
     if field.characteristic:
-        return 1, {m: field(c).value for m, c in f.terms.items()}
+        return 1, {sum(map(mul, m, units)): field(c).value for m, c in f.terms.items()}
     d = math.lcm(*(c.denominator for c in f.terms.values()))
-    return d, {m: c.numerator * (d // c.denominator) for m, c in f.terms.items()}
+    return d, {
+        sum(map(mul, m, units)): c.numerator * (d // c.denominator) for m, c in f.terms.items()
+    }
 
 
-def _polynomial(ring: PolyRing, terms, d: int) -> Polynomial:
-    """The polynomial of plain int terms divided by d (1 over GF(p))."""
+def _polynomial(ring: PolyRing, terms, d: int, unpack) -> Polynomial:
+    """The polynomial of plain int terms divided by d (1 over GF(p)), each
+    packed monomial unpacked by ``unpack``."""
     p = ring.field.characteristic
     if p:
-        return Polynomial(ring, {m: GFElement(c, p) for m, c in terms})
-    return Polynomial(ring, {m: Fraction(c, d) for m, c in terms})
+        return Polynomial(ring, {unpack(m): GFElement(c, p) for m, c in terms})
+    return Polynomial(ring, {unpack(m): Fraction(c, d) for m, c in terms})
 
 
 def _normalized(terms: list, p: int) -> list:
@@ -139,35 +221,29 @@ def _normalized(terms: list, p: int) -> list:
 class _Reducer:
     """Fraction-free full division on plain int terms, one per run.
 
-    A reducer is its leading monomial, its leading coefficient and its tail,
-    a list of (monomial, coeff) pairs; reducers are tried in list order.
-    Over GF(p) a reducer is monic. Over Q it is a primitive integer
+    Monomials are packed ints (``_Packing``), so a min-heap of them pops the
+    largest. A reducer is its leading monomial, its leading coefficient and
+    its tail, a list of (monomial, coeff) pairs; reducers are tried in list
+    order. Over GF(p) a reducer is monic. Over Q it is a primitive integer
     polynomial with a positive leading coefficient, so no denominators
-    appear. ``keys`` memoizes the descending key of each monomial met, so a
-    heap of them pops the largest; ``first`` memoizes the first reducer
-    dividing a monomial, which stays valid while reducers are only appended.
+    appear. ``first`` memoizes the first reducer dividing a monomial, which
+    stays valid while reducers are only appended. A product that reaches a
+    guard bit raises ``_Overflow``.
 
     ``work`` counts reduction work, one step at a time: the tail terms each
     step subtracts, plus the accumulator terms it rescales over Q, each
     weighted by 1 + the step's accumulator coefficient's bit length // 256
     (1 over GF(p)), about the cost of one small-int term operation. It
-    depends only on the input, never on the host. Past
+    depends only on the input, never on the host or the field width. Past
     ``MAX_REDUCTION_WORK`` the run raises ``LimitExceeded``.
     """
 
-    def __init__(self, ring: PolyRing, order, reducers=None):
+    def __init__(self, ring: PolyRing, packing: _Packing, reducers=None):
         self.p = ring.field.characteristic
-        self.order = order
+        self.packing = packing
         self.lms, self.lcs, self.tails = reducers or ([], [], [])
-        self.keys = {}
         self.first = {}
         self.work = 0
-
-    def nkey(self, m):
-        k = self.keys.get(m)
-        if k is None:
-            k = self.keys[m] = self.order.desc_key(m)
-        return k
 
     def add(self, terms) -> None:
         """Append a reducer given by its ``_normalized`` term list."""
@@ -175,13 +251,14 @@ class _Reducer:
         self.lcs.append(terms[0][1])
         self.tails.append(terms[1:])
 
-    def divisor(self, m) -> int:
+    def divisor(self, m: int) -> int:
         i, start = self.first.get(m, (-1, 0))
         if i >= 0:
             return i
-        lms = self.lms
+        lms, guard = self.lms, self.packing.guard
+        raised = m | guard
         for i in range(start, len(lms)):
-            if all(map(le, lms[i], m)):
+            if (raised - lms[i]) & guard == guard:
                 self.first[m] = (i, 0)
                 return i
         self.first[m] = (-1, len(lms))
@@ -197,14 +274,14 @@ class _Reducer:
         g = gcd(c, b). Terms already in ``rem`` missed the later factors;
         they get them at the end.
         """
-        p, lms, lcs, tails, divisor, nkey = (
-            self.p, self.lms, self.lcs, self.tails, self.divisor, self.nkey
+        p, lms, lcs, tails, divisor, guard = (
+            self.p, self.lms, self.lcs, self.tails, self.divisor, self.packing.guard
         )
-        heap = [(nkey(m), m) for m in h]
+        heap = list(h)
         heapify(heap)
         rem, marks, work = [], [], self.work
         while heap:
-            m = heappop(heap)[1]
+            m = heappop(heap)
             c = h.pop(m)
             if p:
                 c %= p  # the updates below skip the modulus
@@ -230,13 +307,15 @@ class _Reducer:
                 raise LimitExceeded(
                     f"Groebner basis reduction work {work} exceeds {MAX_REDUCTION_WORK}"
                 )
-            t = tuple(map(sub, m, lms[i]))
+            t = m - lms[i]
             for gm, a in tail:
-                mm = tuple(map(add, gm, t))
+                mm = gm + t
                 v = h.get(mm)
                 if v is None:
+                    if mm & guard:
+                        raise _Overflow
                     h[mm] = -c * a
-                    heappush(heap, (nkey(mm), mm))
+                    heappush(heap, mm)
                 else:
                     h[mm] = v - c * a
         self.work = work
@@ -257,29 +336,43 @@ def buchberger(generators: Sequence[Polynomial], order=GREVLEX) -> list:
     if not gens:
         return []
     ring = gens[0].ring
-    red = _Reducer(ring, order)
-    p, lms, lcs, tails, nkey = red.p, red.lms, red.lcs, red.tails, red.nkey
-    # the generators' normalized multiples, repeats dropped, in a canonical
-    # order, so that shuffled generator lists give the same run: ascending
-    # in the order term by term (a prefix first, as ``last`` sorts after
-    # every descending key), then by coefficients
+    width = 8
+    while True:
+        try:
+            return _buchberger(ring, gens, _packing(order, ring.nvars, width))
+        except _Overflow:
+            # the run so far is a prefix of the run at any wider width, so
+            # a restart repeats its steps and its work exactly
+            width *= 2
+
+
+def _buchberger(ring: PolyRing, gens: list, packing: _Packing) -> list:
+    red = _Reducer(ring, packing)
+    p, lms, lcs, tails = red.p, red.lms, red.lcs, red.tails
+    guard, unpack = packing.guard, packing.unpack
+    # the generators' normalized multiples, repeats dropped, each with its
+    # total degree, in a canonical order, so that shuffled generator lists
+    # give the same run: ascending in the order term by term (a prefix
+    # first, as ``last`` sorts after every packed monomial), then by
+    # coefficients
     normal = {
-        tuple(_normalized(sorted(_plain(g)[1].items(), key=lambda mc: nkey(mc[0])), p))
+        tuple(_normalized(sorted(_plain(g, packing)[1].items()), p)): max(map(sum, g.terms))
         for g in gens
     }
-    last = (math.inf,)
-    for terms in sorted(
-        normal, key=lambda t: ([nkey(m) for m, _ in t] + [last], [c for _, c in t]), reverse=True
-    ):
+    last = math.inf
+    canonical = sorted(
+        normal, key=lambda t: ([m for m, _ in t] + [last], [c for _, c in t]), reverse=True
+    )
+    for terms in canonical:
         red.add(terms)
+    # pair bookkeeping is on exponent tuples: the leading monomials unpacked
+    exps = [unpack(lm) for lm in lms]
     # sugar (Giovini et al., ISSAC 1991): a generator's is its total degree, a
     # pair's the larger of sugar_i + deg t_i and sugar_j + deg t_j, and a new
     # reducer takes its pair's. Kept as each reducer's excess of sugar over
     # its leading degree, so a pair's sugar is its lcm degree plus the larger
     # excess; on homogeneous input every excess is 0.
-    excess = [
-        max(map(sum, [lm] + [m for m, _ in tail])) - sum(lm) for lm, tail in zip(lms, tails)
-    ]
+    excess = [normal[terms] - sum(e) for terms, e in zip(canonical, exps)]
     pending = {}  # pair -> lcm of the two leading monomials
     pairs = []  # heap of (sugar, lcm degree, i, j)
 
@@ -287,11 +380,11 @@ def buchberger(generators: Sequence[Polynomial], order=GREVLEX) -> list:
         # two monomials have S-polynomial 0: such a pair is never queued, and
         # counts as treated for the chain criterion
         monomial = not tails[new]
-        lm, e = lms[new], excess[new]
+        lm, e = exps[new], excess[new]
         for k in range(new):
             if monomial and not tails[k]:
                 continue
-            lcm = tuple(map(max, lms[k], lm))
+            lcm = tuple(map(max, exps[k], lm))
             pending[(k, new)] = lcm
             degree = sum(lcm)
             heappush(pairs, (degree + max(excess[k], e), degree, k, new))
@@ -301,12 +394,14 @@ def buchberger(generators: Sequence[Polynomial], order=GREVLEX) -> list:
     while pairs:
         pair_sugar, _, i, j = heappop(pairs)
         lcm = pending.pop((i, j))
-        if lcm == tuple(map(add, lms[i], lms[j])):
+        if lcm == tuple(map(add, exps[i], exps[j])):
             continue  # coprime leading monomials
+        lcm = packing.pack(lcm)
+        raised = lcm | guard
         if any(
             k != i
             and k != j
-            and all(map(le, lms[k], lcm))
+            and (raised - lms[k]) & guard == guard
             and (min(i, k), max(i, k)) not in pending
             and (min(j, k), max(j, k)) not in pending
             for k in range(len(lms))
@@ -316,22 +411,26 @@ def buchberger(generators: Sequence[Polynomial], order=GREVLEX) -> list:
         # cancel, so only the tails enter
         g = gcd(lcs[i], lcs[j])
         ui, uj = lcs[j] // g, lcs[i] // g
-        ti, tj = tuple(map(sub, lcm, lms[i])), tuple(map(sub, lcm, lms[j]))
-        h = {tuple(map(add, m, ti)): ui * a for m, a in tails[i]}
+        ti, tj = lcm - lms[i], lcm - lms[j]
+        h = {m + ti: ui * a for m, a in tails[i]}
         for m, a in tails[j]:
-            m = tuple(map(add, m, tj))
+            m += tj
             h[m] = h.get(m, 0) - uj * a
+        if any(m & guard for m in h):
+            raise _Overflow
         r = red.reduce(h)[0]
         if r:
             red.add(_normalized(r, p))
-            excess.append(pair_sugar - sum(lms[-1]))
+            exps.append(unpack(lms[-1]))
+            excess.append(pair_sugar - sum(exps[-1]))
             add_pairs(len(lms) - 1)
 
     # minimal basis: visit by ascending leading monomial, keep an element only
     # if no kept leading monomial divides its own (equal ones keep the first)
     keep = []
-    for i in sorted(range(len(lms)), key=lambda i: nkey(lms[i]), reverse=True):
-        if not any(all(map(le, lms[j], lms[i])) for j in keep):
+    for i in sorted(range(len(lms)), key=lms.__getitem__, reverse=True):
+        raised = lms[i] | guard
+        if not any((raised - lms[j]) & guard == guard for j in keep):
             keep.append(i)
     # the reducers form a Groebner basis and a remainder modulo a basis is
     # unique, so reducing each kept tail once gives the reduced basis; it is
@@ -340,7 +439,7 @@ def buchberger(generators: Sequence[Polynomial], order=GREVLEX) -> list:
     for i in reversed(keep):
         rem, scale = red.reduce(dict(tails[i]))
         d = scale * lcs[i]
-        basis.append(_polynomial(ring, [(lms[i], d)] + rem, d))
+        basis.append(_polynomial(ring, [(lms[i], d)] + rem, d, unpack))
     return basis
 
 
@@ -354,20 +453,33 @@ class GroebnerBasis:
         self.order = order
         self.polys = tuple(polys)
         self.lms = tuple(g.leading_monomial(order) for g in self.polys)
-        self._reducers = None
+        self._reducers = None  # (packing, (lms, lcs, tails)) once a normal form needs them
+
+    def _reducer(self, width: int) -> _Reducer:
+        """A fresh ``_Reducer`` over the basis, packed at least ``width`` wide."""
+        if self._reducers is None or self._reducers[0].width < width:
+            red = _Reducer(self.ring, _packing(self.order, self.ring.nvars, width))
+            for g in self.polys:
+                terms = _plain(g, red.packing)[1]
+                lm = min(terms)  # the smallest int is the leading monomial
+                red.add(_normalized([(lm, terms.pop(lm))] + list(terms.items()), red.p))
+            self._reducers = (red.packing, (red.lms, red.lcs, red.tails))
+        return _Reducer(self.ring, *self._reducers)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
             raise AmbientMismatch("polynomial outside the basis ring")
-        if self._reducers is None:
-            red = _Reducer(self.ring, self.order)
-            for lm, g in zip(self.lms, self.polys):
-                terms = _plain(g)[1]
-                red.add(_normalized([(lm, terms.pop(lm))] + list(terms.items()), red.p))
-            self._reducers = (red.lms, red.lcs, red.tails)
-        d, h = _plain(f)
-        rem, scale = _Reducer(self.ring, self.order, self._reducers).reduce(h)
-        return _polynomial(self.ring, rem, scale * d)
+        width = self._reducers[0].width if self._reducers else 8
+        while True:
+            try:
+                red = self._reducer(width)
+                d, h = _plain(f, red.packing)
+                rem, scale = red.reduce(h)
+            except _Overflow:
+                width *= 2
+                continue
+            return _polynomial(self.ring, rem, scale * d, red.packing.unpack)
+
 
     def contains(self, f: Polynomial) -> bool:
         return not self.normal_form(f)

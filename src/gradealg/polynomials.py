@@ -9,8 +9,10 @@ Monomial orders are key objects: ``order.key(mon)`` is a tuple that sorts
 ascending in the order, so ``max(terms, key=order.key)`` is the leading
 monomial; ``order.desc_key(mon)`` is a flat tuple of ints that sorts
 descending, the key's every entry negated, so a min-heap of them pops the
-largest monomial first. grevlex, lex and block orders (for elimination) are
-provided.
+largest monomial first. Each entry of ``desc_key`` is plus or minus a sum of
+exponents, so ``desc_key`` is linear in the monomial: the Groebner kernel
+packs it, from the keys of the unit vectors, into one int per monomial.
+grevlex, lex and block orders (for elimination) are provided.
 """
 
 from __future__ import annotations
@@ -171,7 +173,7 @@ class PolyRing:
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
         for v in variables:
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", v):
+            if not (v.isascii() and v.isidentifier()):  # [A-Za-z_][A-Za-z0-9_]*
                 raise ValueError(f"bad variable name {v!r}")
         self.variables = variables
         self.field = field

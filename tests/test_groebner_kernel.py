@@ -1,16 +1,25 @@
-"""Differential tests: the term-list Buchberger kernel against the
+"""Differential tests: the packed-monomial Buchberger kernel against the
 ``Polynomial``-object engine in ``tests/slow_groebner.py``."""
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from gradealg import groebner
+from gradealg.errors import LimitExceeded
 from gradealg.fields import GF, QQ
 from gradealg.groebner import GroebnerBasis, buchberger
-from gradealg.polynomials import GREVLEX, LEX, Polynomial, PolyRing, elimination_order
+from gradealg.polynomials import (
+    GREVLEX,
+    LEX,
+    BlockOrder,
+    Polynomial,
+    PolyRing,
+    elimination_order,
+)
 from tests import slow_groebner
 
 FIELDS = (QQ, GF(2), GF(32003))
@@ -177,3 +186,161 @@ def test_monomial_ideals_match_polynomial_engine():
         for order in ORDERS[:2] + (elimination_order([1], 4),):
             basis = buchberger(gens, order)
             assert list(map(str, basis)) == list(map(str, slow_groebner.buchberger(gens, order)))
+
+
+@st.composite
+def _orders(draw, nvars: int):
+    """grevlex, lex, or a block order of 2 or 3 blocks, each block a set of
+    variables anywhere in the ring, as ``elimination_order`` builds them."""
+    kind = draw(st.sampled_from(["grevlex", "lex", "block"] if nvars > 1 else ["grevlex", "lex"]))
+    if kind != "block":
+        return GREVLEX if kind == "grevlex" else LEX
+    perm = draw(st.permutations(range(nvars)))
+    count = draw(st.integers(2, min(3, nvars)))
+    cuts = sorted(draw(st.sets(st.integers(1, nvars - 1), min_size=count - 1, max_size=count - 1)))
+    return BlockOrder([sorted(perm[a:b]) for a, b in zip([0] + cuts, cuts + [nvars])])
+
+
+_COEFFS = st.integers(-9, 8).map(lambda c: c + (c >= 0))  # -9..9 without 0
+
+
+def _sparse_terms(nvars: int):
+    """1 to 3 terms, each in at most two variables with exponents up to 40."""
+    monomial = st.dictionaries(st.integers(0, nvars - 1), st.integers(1, 40), max_size=2).map(
+        lambda exps: tuple(exps.get(i, 0) for i in range(nvars))
+    )
+    return st.lists(st.tuples(monomial, _COEFFS), min_size=1, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_on_wide_rings_and_block_orders(data):
+    # 1 to 8 variables, exponents up to 40: past the room of the narrowest
+    # fields, so both the input check and mid-run guard hits restart runs
+    nvars = data.draw(st.integers(1, 8), label="nvars")
+    order = data.draw(_orders(nvars), label="order")
+    field = data.draw(st.sampled_from(FIELDS), label="field")
+    ring = PolyRing(tuple(f"v{i}" for i in range(nvars)), field)
+    gens = [_poly(ring, t) for t in data.draw(st.lists(_sparse_terms(nvars), min_size=1, max_size=2))]
+    probes = [_poly(ring, t) for t in data.draw(st.lists(_sparse_terms(nvars), min_size=1, max_size=2))]
+    # members have remainder 0: the generators times a small polynomial
+    small = st.tuples(st.tuples(*[st.integers(0, 3)] * nvars), _COEFFS)
+    factor = _poly(ring, data.draw(st.lists(small, min_size=1, max_size=2)))
+    members = [factor * g for g in gens]
+    # a few such systems, or their normal forms, take the slow engine
+    # minutes; they are skipped
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groebner, "MAX_REDUCTION_WORK", 2 * 10**4)
+        try:
+            basis = buchberger(gens, order)
+            frozen = GroebnerBasis(ring, order, basis)
+            remainders = [frozen.normal_form(f) for f in probes + members]
+        except LimitExceeded:
+            assume(False)
+    assert list(map(str, basis)) == list(map(str, slow_groebner.buchberger(gens, order)))
+    for f, r in zip(probes + members, remainders):
+        assert r == slow_groebner.normal_form(f, basis, order)
+    assert not any(remainders[len(probes):])
+
+
+def _counted_reducers(monkeypatch) -> list:
+    """Patch ``groebner._Reducer`` so that every one made is appended to the
+    returned list."""
+    reducers = []
+
+    class Counting(groebner._Reducer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            reducers.append(self)
+
+    monkeypatch.setattr(groebner, "_Reducer", Counting)
+    return reducers
+
+
+# Exponents at and past 2^31, 2^63 and 2^64: the fields widen from 8 bits
+# until the input fits, and a guard hit in the middle of a run restarts it
+# wider (lex ``x - y^20``, ``y - z^30`` reaches z^600; lex ``x^10`` reduces to
+# a y-power past 2^63; in the last system an S-polynomial reaches past 127
+# under the block order). Each row gives the reduction work of the run under
+# grevlex, lex and the block order as the tuple-monomial kernel counted it.
+_WIDE = [
+    (["x^1099511627776 - y"], (0, 0, 0)),
+    (["x^2147483648*y - z^3"], (0, 0, 0)),
+    (["x^1099511627776 - y", "x^2147483648 - z^3"], (511, 511, 512)),
+    (["x^2147483648*y - z^3", "y^2 - z"], (1, 1, 2)),
+    (["x - y^20", "y - z^30"], (0, 20, 19)),
+    (["x^2 - y^2305843009213693951", "x^10 - z"], (0, 4, 0)),
+    (["x^1180591620717411303424 - y*z", "y^3 - z"], (0, 0, 3)),
+    (["-x^2*y^16 - x^17", "x^17*z^6 + x^18", "-y^28*z^31 + x^26*y^13"], (12, 109, 78)),
+]
+
+
+@pytest.mark.parametrize("column, order", enumerate([GREVLEX, LEX, elimination_order([1], 3)]), ids=repr)
+@pytest.mark.parametrize("texts, works", _WIDE, ids=[", ".join(t) for t, _ in _WIDE])
+def test_exponents_past_the_field_width(monkeypatch, column, order, texts, works):
+    # a restart takes the steps of the tuple kernel's run: with the budget at
+    # that run's work, no run raises LimitExceeded, and the last one does
+    # exactly that work
+    work = works[column]
+    monkeypatch.setattr(groebner, "MAX_REDUCTION_WORK", work)
+    reducers = _counted_reducers(monkeypatch)
+    ring = PolyRing(("x", "y", "z"), QQ)
+    gens = [ring.parse(t) for t in texts]
+    basis = buchberger(gens, order)
+    assert reducers[-1].work == work
+    assert list(map(str, basis)) == list(map(str, slow_groebner.buchberger(gens, order)))
+    monkeypatch.setattr(groebner, "MAX_REDUCTION_WORK", 10**4)
+    frozen = GroebnerBasis(ring, order, basis)
+    members = [g * ring.parse("x*y*z - 2") for g in gens]
+    for f in gens + members + [ring.parse("x^10*y^3 + z^5")]:
+        assert frozen.normal_form(f) == slow_groebner.normal_form(f, basis, order)
+    assert not any(frozen.normal_form(f) for f in members)
+
+
+def _katsura(n: int) -> tuple:
+    """Homogenized katsura-n: variables u0..un plus h, and generators."""
+    u = [f"u{i}" for i in range(n + 1)]
+
+    def at(i):
+        return u[abs(i)] if abs(i) <= n else None
+
+    gens = [
+        " + ".join(f"{at(l)}*{at(m - l)}" for l in range(-n, n + 1) if at(l) and at(m - l))
+        + f" - {u[m]}*h"
+        for m in range(n)
+    ]
+    gens.append(" + ".join([u[0]] + [f"2*{x}" for x in u[1:]]) + " - h")
+    return u + ["h"], gens
+
+
+def _cyclic(n: int) -> tuple:
+    """Homogenized cyclic-n: variables x1..xn plus h, and generators."""
+    v = [f"x{i}" for i in range(1, n + 1)]
+    gens = [
+        " + ".join("*".join(v[(i + j) % n] for j in range(k)) for i in range(n))
+        for k in range(1, n)
+    ]
+    gens.append("*".join(v) + f" - h^{n}")
+    return v + ["h"], gens
+
+
+# Reduction work of one Buchberger run, as the tuple-monomial kernel counted
+# it: packing the monomials changed no step of a run.
+PINNED_WORK = {
+    ("katsura4", "Q"): 10654,
+    ("katsura4", "GF(32003)"): 6909,
+    ("cyclic5", "Q"): 22130,
+    ("cyclic5", "GF(32003)"): 16967,
+}
+
+
+def test_kernel_steps_are_pinned(monkeypatch):
+    reducers = _counted_reducers(monkeypatch)
+    work = {}
+    for name, (variables, texts) in (("katsura4", _katsura(4)), ("cyclic5", _cyclic(5))):
+        for field in (QQ, GF(32003)):
+            reducers.clear()
+            ring = PolyRing(variables, field)
+            buchberger([ring.parse(t) for t in texts])
+            work[name, field.name] = sum(r.work for r in reducers)
+    assert work == PINNED_WORK

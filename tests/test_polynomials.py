@@ -1,6 +1,7 @@
 """Sparse polynomials: parsing, printing, orders, bidegrees."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -208,3 +209,18 @@ def test_ring_rejects_bad_names():
         PolyRing(("x", "x"), QQ)
     with pytest.raises(ValueError):
         PolyRing(("2x",), QQ)
+
+
+@pytest.mark.parametrize(
+    "name, ok",
+    [("_x", True), ("x1", True), ("X_2", True), ("1x", False), ("x-y", False), ("é", False),
+     ("", False), ("x\n", False), ("x y", False)],
+)
+def test_variable_names_are_ascii_identifiers(name, ok):
+    # the accepted set is exactly [A-Za-z_][A-Za-z0-9_]*
+    assert ok == bool(re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name))
+    if ok:
+        assert PolyRing((name,), QQ).variables == (name,)
+    else:
+        with pytest.raises(ValueError, match=f"^bad variable name {re.escape(repr(name))}$"):
+            PolyRing((name,), QQ)
