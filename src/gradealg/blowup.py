@@ -65,15 +65,6 @@ class ReesPresentation:
     defining: Ideal
     target: str  # "rees" or "assoc_graded"
 
-    @property
-    def x_indices(self) -> tuple:
-        return tuple(range(len(self.x_names)))
-
-    @property
-    def y_indices(self) -> tuple:
-        n = len(self.x_names)
-        return tuple(range(n, n + len(self.y_names)))
-
     def monomial_bidegree(self, mon) -> tuple:
         """(weight, internal degree) of a presentation-ring monomial."""
         n = len(self.x_names)

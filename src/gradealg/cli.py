@@ -61,12 +61,9 @@ from .rees_cohomology import (
     dim_rees,
     window_table,
 )
-from .simplicial import (
-    DEFAULT_WINDOW,
-    SimplicialComplex,
-    local_cohomology_window,
-    sr_invariants,
-)
+from .simplicial import SimplicialComplex, local_cohomology_window, sr_invariants
+
+DEFAULT_WINDOW = (-10, 2)
 
 
 def _window_for(spec: dict, args) -> tuple:
@@ -248,11 +245,11 @@ def _cmd_cohomology(problem: _Problem, spec: dict, args) -> tuple:
         "gencm": inv.gencm,
     }
     if args.module == "A":
-        window = local_cohomology_window(complex, field, lo, hi)
+        window = local_cohomology_window(complex, field)
         dim_r = adic = cm_r = None
     else:
         data = SplitSRData.from_split(complex, _variable_basis(problem, complex))
-        window = assemble_rees_cohomology(data, field, lo, hi)
+        window = assemble_rees_cohomology(data, field)
         verdict = decide_cm_rees(data, field)
         dim_r, adic, cm_r = verdict.dim_rees, verdict.a_adic, verdict.cm_rees
     table = window_table(window, lo, hi)
@@ -286,8 +283,8 @@ def _cmd_gencm(problem: _Problem, spec: dict, args) -> tuple:
     complex = problem.complex_builder()
     data = SplitSRData.from_split(complex, _variable_basis(problem, complex))
     verdict = decide_gencm(data, field)
-    window_a = local_cohomology_window(complex, field, lo, hi)
-    window_r = assemble_rees_cohomology(data, field, lo, hi)
+    window_a = local_cohomology_window(complex, field)
+    window_r = assemble_rees_cohomology(data, field)
     report = {
         "gencm": verdict.gencm,
         "case": verdict.case,

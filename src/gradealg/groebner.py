@@ -481,9 +481,6 @@ class GroebnerBasis:
             return _polynomial(self.ring, rem, scale * d, red.packing.unpack)
 
 
-    def contains(self, f: Polynomial) -> bool:
-        return not self.normal_form(f)
-
     def is_unit(self) -> bool:
         return any(sum(lm) == 0 for lm in self.lms)
 
@@ -586,9 +583,6 @@ class GradedHilbert:
         if not 0 <= d <= self.degree_bound:
             raise IndexError(f"degree {d} outside [0, {self.degree_bound}]")
         return self.dims[d]
-
-    def as_dict(self) -> dict:
-        return {d: v for d, v in enumerate(self.dims)}
 
 
 def _numerator(lms, weights, degrees, level_bound: int, degree_bound: int) -> dict:

@@ -260,9 +260,6 @@ class Polynomial:
         degs = {sum(m) for m in self.terms}
         return len(degs) <= 1
 
-    def degrees_present(self) -> set:
-        return {sum(m) for m in self.terms}
-
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other):

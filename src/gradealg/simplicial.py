@@ -11,8 +11,8 @@ come from sparse elimination on the boundary matrices, on ints mod p over
 GF(p) and fraction-free over the integers for Q, so everything downstream
 of this module is exact as well. The per-index contribution profile does
 not depend on any degree window: it is computed once per (complex, field),
-and a window object is a view of it that answers dimension queries at any
-degree; its band [lo, hi] only sets what ``table`` renders.
+and a ``CohomologyWindow`` is a view of it that answers dimension queries
+at any degree.
 
 Vanishing flags fall out of the same profile. A nonempty contributing face
 of size s forces nonzero dimensions at every degree <= -s, and size-1 faces
@@ -33,7 +33,6 @@ from .errors import LimitExceeded
 from .groebner import Ideal
 
 VERTEX_BOUND = 12
-DEFAULT_WINDOW = (-10, 2)
 PROFILE_CACHE_SIZE = 128
 
 
@@ -248,19 +247,16 @@ class IndexFlags(NamedTuple):
 
 
 class CohomologyWindow:
-    """Graded dimensions of local cohomology of a face ring, read off its
-    per-index contribution profile (``contrib``, ``contrib_faces``, as
-    ``_profile`` returns them; the window keeps its own copies).
+    """Graded dimensions of local cohomology, read off a per-index
+    contribution profile: ``contrib[i]`` maps a face size s to a positive
+    rank r, and ``contrib_faces[i]`` lists the contributing faces with their
+    ranks. The window keeps its own copies of both.
 
-    ``dim_at`` and ``flag`` are exact at every degree; ``[lo, hi]`` only
-    picks the band that ``table`` renders.
+    ``dim_at`` and ``flag`` are exact at every degree; ``window_table``
+    renders a band of degrees.
     """
 
-    def __init__(self, lo: int, hi: int, max_index: int, contrib: dict, contrib_faces: dict):
-        if lo > hi:
-            raise ValueError("empty window")
-        self.lo = lo
-        self.hi = hi
+    def __init__(self, max_index: int, contrib: dict, contrib_faces: dict = {}):
         self.max_index = max_index
         self.contrib = {i: dict(c) for i, c in contrib.items()}
         self.contrib_faces = {i: tuple(fs) for i, fs in contrib_faces.items()}
@@ -268,35 +264,27 @@ class CohomologyWindow:
     def indices(self) -> range:
         return range(0, self.max_index + 1)
 
-    def flag(self, i: int) -> IndexFlags:
-        return _profile_flag(self.contrib.get(i, {}))
-
     def dim_at(self, i: int, j: int) -> int:
-        return _profile_dim(self.contrib.get(i, {}), j)
+        """Dimension of index i in degree j: the size-0 rank in degree 0,
+        and the sum of r * C(-j-1, s-1) over sizes s >= 1 below it."""
+        if j > 0:
+            return 0
+        profile = self.contrib.get(i, {})
+        if j == 0:
+            return profile.get(0, 0)
+        return sum(r * comb(-j - 1, s - 1) for s, r in profile.items() if s >= 1)
 
-    def table(self, i: int) -> dict:
-        return {j: v for j in range(self.lo, self.hi + 1) if (v := self.dim_at(i, j))}
-
-
-def _profile_dim(profile: dict, j: int) -> int:
-    """Dimension in degree j of one index, from its contribution profile."""
-    if j > 0:
-        return 0
-    if j == 0:
-        return profile.get(0, 0)
-    return sum(r * comb(-j - 1, s - 1) for s, r in profile.items() if s >= 1)
-
-
-def _profile_flag(profile: dict) -> IndexFlags:
-    """Flags of one index, from its contribution profile (all ranks positive):
-    it vanishes iff the profile is empty, and it is finite length, as well as
-    zero below degree -1, iff only size 0 occurs."""
-    only_size_zero = all(s == 0 for s in profile)
-    return IndexFlags(
-        is_zero=not profile,
-        finite_length=only_size_zero,
-        vanishes_below_minus_one=only_size_zero,
-    )
+    def flag(self, i: int) -> IndexFlags:
+        """All ranks are positive, so index i vanishes iff its profile is
+        empty, and it is finite length, as well as zero below degree -1,
+        iff only size 0 occurs."""
+        profile = self.contrib.get(i, {})
+        only_size_zero = all(s == 0 for s in profile)
+        return IndexFlags(
+            is_zero=not profile,
+            finite_length=only_size_zero,
+            vanishes_below_minus_one=only_size_zero,
+        )
 
 
 def restrict_complex(complex: SimplicialComplex, vertices: Iterable[int]) -> SimplicialComplex:
@@ -385,16 +373,11 @@ def _profile(complex: SimplicialComplex, field) -> tuple:
     return contrib, contrib_faces
 
 
-def local_cohomology_window(
-    complex: SimplicialComplex,
-    field,
-    lo: int = DEFAULT_WINDOW[0],
-    hi: int = DEFAULT_WINDOW[1],
-) -> CohomologyWindow:
-    """Graded local cohomology of the face ring, as a window on the cached
-    contribution profile that renders the band [lo, hi]."""
+def local_cohomology_window(complex: SimplicialComplex, field) -> CohomologyWindow:
+    """Graded local cohomology of the face ring, as a window on its cached
+    contribution profile."""
     contrib, contrib_faces = _profile(complex, field)
-    return CohomologyWindow(lo, hi, complex.dim + 1, contrib, contrib_faces)
+    return CohomologyWindow(complex.dim + 1, contrib, contrib_faces)
 
 
 @dataclass(frozen=True)

@@ -6,34 +6,37 @@ by an exponent floor -N on inverted variables; for a fixed internal
 degree the reported dimension stabilizes once N is large enough, and
 callers assert stability against N+1.
 
-Everything is exact rational arithmetic; no project code is imported.
+Everything is exact integer arithmetic; no project code is imported. The
+spaces and the differential ranks are cached per (n, p, degree, floor):
+the rank of C^p -> C^(p+1) serves both H^p and H^(p+1).
 """
 
-from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 
 def _rank(rows):
-    if not rows or not rows[0]:
-        return 0
-    rows = [[Fraction(x) for x in r] for r in rows]
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    """Rank over Q of integer rows given as ``{column: entry}`` dicts.
+
+    Fraction-free forward elimination: a row whose leading column already
+    holds a pivot row becomes ``b * row - a * pivot``, with ``a`` and ``b``
+    the two leading entries, until it vanishes or becomes a pivot itself.
+    Rows are only scaled by nonzero integers, so the span over Q, and the
+    rank, is exact.
+    """
+    pivots = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            a, b = row[lead], pivot[lead]
+            row = {c: b * row.get(c, 0) - a * pivot.get(c, 0) for c in row.keys() | pivot.keys()}
+            row = {c: v for c, v in row.items() if v}
+    return len(pivots)
 
 
 def _exponent_vectors(n, degree, lower):
@@ -60,6 +63,7 @@ def _module_basis(n, T, degree, floor):
     return _exponent_vectors(n, degree, lower)
 
 
+@lru_cache(maxsize=None)
 def _cech_spaces(n, degree, floor):
     """Basis of each C^p in one degree: lists of (T, exponent vector)."""
     spaces = {}
@@ -73,12 +77,12 @@ def _cech_spaces(n, degree, floor):
 
 
 def _differential(spaces, p):
-    """Matrix of C^p -> C^(p+1) as rows indexed by C^p basis."""
+    """Matrix of C^p -> C^(p+1) as sparse rows indexed by C^p basis."""
     source, target = spaces[p], spaces.get(p + 1, [])
     index = {key: k for k, key in enumerate(target)}
     rows = []
     for T, e in source:
-        row = [0] * len(target)
+        row = {}
         for j in range(len(e)):
             if j in T:
                 continue
@@ -90,12 +94,20 @@ def _differential(spaces, p):
     return rows
 
 
+@lru_cache(maxsize=None)
+def _differential_rank(n, p, degree, floor):
+    """Rank of C^p -> C^(p+1) in one degree; zero outside 0 <= p < n."""
+    if not 0 <= p < n:
+        return 0
+    return _rank(_differential(_cech_spaces(n, degree, floor), p))
+
+
 def cech_dim(n, p, degree, floor):
     """dim H^p of the truncated complex in one internal degree."""
-    spaces = _cech_spaces(n, degree, floor)
-    d_p = _rank(_differential(spaces, p))
-    d_prev = _rank(_differential(spaces, p - 1)) if p > 0 else 0
-    return len(spaces[p]) - d_p - d_prev
+    size = len(_cech_spaces(n, degree, floor)[p])
+    d_p = _differential_rank(n, p, degree, floor)
+    d_prev = _differential_rank(n, p - 1, degree, floor)
+    return size - d_p - d_prev
 
 
 def local_cohomology_dim(n, p, degree):

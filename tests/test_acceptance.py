@@ -33,6 +33,7 @@ from gradealg import (
     normal_form,
     rees_presentation,
     sr_invariants,
+    window_table,
 )
 from gradealg.cli import main
 from gradealg.criterion import decide_and_verify
@@ -125,7 +126,7 @@ def test_criterion_04_telescoping_invariant():
 def test_criterion_05_band_window_matches_bivariate_cech():
     point = SimplicialComplex([0], [(0,)])
     data = SplitSRData.from_split(point, (0,))
-    assembled = assemble_rees_cohomology(data, QQ, -6, 0)
+    assembled = assemble_rees_cohomology(data, QQ)
     assert [assembled.dim_at(2, a) for a in (-2, -3, -4)] == [1, 2, 3]
     assert assembled.dim_at(2, -1) == 0
     for i in range(0, 3):
@@ -146,8 +147,8 @@ def test_criterion_06_assembly_degenerates_to_band():
     for complex, field in fixtures:
         data = SplitSRData.from_split(complex, complex.vertices)
         assert data.c == ()
-        assembled = assemble_rees_cohomology(data, field, -10, 2)
-        band = BandWindow(local_cohomology_window(complex, field, -10, 2))
+        assembled = assemble_rees_cohomology(data, field)
+        band = BandWindow(local_cohomology_window(complex, field))
         for level in range(0, assembled.max_index + 1):
             for a in range(-10, 3):
                 assert assembled.dim_at(level, a) == band.dim_at(level, a)
@@ -156,7 +157,7 @@ def test_criterion_06_assembly_degenerates_to_band():
 def test_criterion_07_trivariate_cech_oracle():
     edge = SimplicialComplex(range(2), [(0, 1)])
     data = SplitSRData.from_split(edge, (0,))
-    assembled = assemble_rees_cohomology(data, QQ, -8, 0)
+    assembled = assemble_rees_cohomology(data, QQ)
     for a in range(-8, -2):
         expected = ((-a - 1) * (-a - 2)) // 2
         assert assembled.dim_at(3, a) == expected
@@ -167,8 +168,8 @@ def test_criterion_07_trivariate_cech_oracle():
 
 def test_criterion_08_hochster_fixtures():
     two_points = SimplicialComplex(range(2), [(0,), (1,)])
-    w = local_cohomology_window(two_points, QQ, -5, 0)
-    table = w.table(1)
+    w = local_cohomology_window(two_points, QQ)
+    table = window_table(w, -5, 0)[1]
     assert table[0] == 1
     assert all(table[j] == 2 for j in range(-5, 0))
     inv = sr_invariants(two_points, QQ)

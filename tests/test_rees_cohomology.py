@@ -74,7 +74,7 @@ def test_from_split_accepts_joins_and_rejects_others():
 
 def test_band_matches_bivariate_cech():
     pt = SimplicialComplex([0], [(0,)])
-    band = BandWindow(local_cohomology_window(pt, QQ, -6, 0))
+    band = BandWindow(local_cohomology_window(pt, QQ))
     assert band.max_index == 2
     for i in range(0, 3):
         for a in range(-6, 1):
@@ -85,14 +85,14 @@ def test_band_matches_bivariate_cech():
 
 def test_band_flags_for_polynomial_base():
     pt = SimplicialComplex([0], [(0,)])
-    band = BandWindow(local_cohomology_window(pt, QQ, -4, 0))
+    band = BandWindow(local_cohomology_window(pt, QQ))
     assert band.flag(0).is_zero and band.flag(1).is_zero
     top = band.flag(2)
     assert not top.is_zero and not top.finite_length
 
 
 def test_band_keeps_degree_zero_of_base():
-    w = local_cohomology_window(CIRCLE, QQ, -4, 0)
+    w = local_cohomology_window(CIRCLE, QQ)
     band = BandWindow(w)
     assert w.dim_at(2, 0) == 1
     assert band.dim_at(2, 0) == 1
@@ -102,7 +102,7 @@ def test_band_keeps_degree_zero_of_base():
 
 def test_trivariate_assembly_matches_cech():
     data = SplitSRData.from_split(EDGE, (0,))
-    tw = assemble_rees_cohomology(data, QQ, -8, 0)
+    tw = assemble_rees_cohomology(data, QQ)
     assert tw.max_index == 3
     for a in range(-8, 1):
         expected = comb(-a - 1, 2) if a <= -1 else 0
@@ -117,8 +117,8 @@ def test_assembly_reduces_to_band_when_c_empty():
     for complex in fixtures:
         for field in (QQ, GF(2)):
             data = SplitSRData.from_split(complex, complex.vertices)
-            assembled = assemble_rees_cohomology(data, field, -6, 0)
-            band = BandWindow(local_cohomology_window(complex, field, -6, 0))
+            assembled = assemble_rees_cohomology(data, field)
+            band = BandWindow(local_cohomology_window(complex, field))
             assert assembled.max_index == band.max_index
             for q in assembled.indices():
                 for a in range(-6, 1):
@@ -249,7 +249,7 @@ def test_wide_window_reads_no_factor_cells(monkeypatch):
 
 
 def test_window_table_shape():
-    band = BandWindow(local_cohomology_window(TWO_POINTS, QQ, -3, 0))
+    band = BandWindow(local_cohomology_window(TWO_POINTS, QQ))
     table = window_table(band, -3, 0)
     assert set(table) == {0, 1, 2}
     assert table[2] == {-2: 2, -3: 4}
