@@ -144,6 +144,8 @@ def assemble_rees_cohomology(data: SplitSRData, field) -> TensorWindow:
 
 def window_table(window, lo: int, hi: int) -> Dict[int, Dict[int, int]]:
     """Nonzero dimensions over [lo, hi] for every index of a window."""
+    if lo > hi:
+        raise ValueError(f"empty window [{lo}, {hi}]")
     out: Dict[int, Dict[int, int]] = {}
     for i in window.indices():
         row = {}

@@ -209,6 +209,13 @@ def test_window_flags_are_exact():
     assert w2.dim_at(2, -1) == 0
 
 
+def test_window_rejects_bad_bounds():
+    two_pts = SimplicialComplex(range(2), [(0,), (1,)])
+    w = local_cohomology_window(two_pts, QQ)
+    with pytest.raises(ValueError):
+        window_table(w, 1, -1)
+
+
 def test_invariants_simplex_and_two_points():
     for n in (1, 2, 3, 4):
         simplex = SimplicialComplex(range(n), [tuple(range(n))])
