@@ -44,7 +44,6 @@ from .polynomials import (
     Polynomial,
     bidegree,
     elimination_order,
-    parse_poly,
 )
 from .rees_cohomology import (
     BandWindow,

@@ -14,13 +14,11 @@ level I^n/I^(n+1); internal degree is the one inherited from S.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import LimitExceeded
 from .groebner import (
     Ideal,
-    POWER_BOUND,
     count_standard_monomials,
     elimination_ideal,
     groebner_basis,
@@ -52,8 +50,7 @@ def _fresh_name(taken, stem: str) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class ReesPresentation:
+class ReesPresentation(NamedTuple):
     """A presentation ring k[X-vars, Y-vars] with its defining ideal."""
 
     ring: PolyRing
@@ -162,12 +159,7 @@ def _assoc_graded_from_rees(rees: ReesPresentation) -> ReesPresentation:
     )
 
 
-def is_graded_relation(
-    g: Polynomial,
-    J: Ideal,
-    f: Sequence[Polynomial],
-    power_bound: int = POWER_BOUND,
-) -> bool:
+def is_graded_relation(g: Polynomial, J: Ideal, f: Sequence[Polynomial]) -> bool:
     """Check that g names a genuine relation of the associated graded ring.
 
     g lives in the presentation ring on X- and Y-variables and must be
@@ -186,12 +178,11 @@ def is_graded_relation(
     d = bideg.y_degree
     images = [S.var(i) for i in range(n)] + list(f)
     substituted = g.map_into(S, images)
-    target = ideal_sum(ideal_power(Ideal(S, f), d + 1, bound=max(power_bound, d + 1)), J)
+    target = ideal_sum(ideal_power(Ideal(S, f), d + 1, bound=d + 1), J)
     return ideal_member(substituted, target)
 
 
-@dataclass(frozen=True)
-class BigradedHilbert:
+class BigradedHilbert(NamedTuple):
     """Nonzero dimensions of adic slices I^n/I^(n+1) by internal degree."""
 
     dims: dict

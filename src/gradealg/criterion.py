@@ -29,10 +29,9 @@ checks that ideal equality exactly.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .blowup import assoc_graded_presentation
+from . import blowup
 from .groebner import (
     Ideal,
     elimination_ideal,
@@ -43,8 +42,7 @@ from .groebner import (
 )
 
 
-@dataclass(frozen=True)
-class SplitWitness:
+class SplitWitness(NamedTuple):
     """Certificate that J splits across a variable subset B."""
 
     b: tuple  # variable indices generating I modulo J
@@ -53,12 +51,8 @@ class SplitWitness:
     jc: Ideal  # J restricted to the C-variables
     sigma: dict  # renaming on variable names certifying the isomorphism
 
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", dict(self.sigma))
 
-
-@dataclass(frozen=True)
-class IsoDecision:
+class IsoDecision(NamedTuple):
     isomorphic: bool
     witness: Optional[SplitWitness]
     failure_reason: Optional[str]  # "not-variable-generated" | "not-split"
@@ -154,8 +148,10 @@ def verify_iso_witness(J: Ideal, witness: SplitWitness) -> bool:
 def _verify_iso_witness(J: Ideal, witness: SplitWitness) -> tuple:
     """``verify_iso_witness`` with the presentation it checked: ``(ok, pres)``."""
     S = J.ring
-    f = [S.var(i) for i in witness.b]
-    pres = assoc_graded_presentation(J, f)
+    f = tuple(S.var(i) for i in witness.b)
+    # decide_iso has validated I; a variable of B may lie in J, which the
+    # validating assoc_graded_presentation would refuse
+    pres = blowup._assoc_graded_from_rees(blowup._rees_presentation(J, f, None))
     xy = pres.ring
     expected = (
         [xy.var(xy.var_index(S.variables[i])) for i in witness.b]

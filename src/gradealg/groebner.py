@@ -47,14 +47,13 @@ at a cost set by the generators and the window, not by the counts (math-notes §
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, combinations_with_replacement
 from math import gcd
 from operator import add, le, mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import AmbientMismatch, LimitExceeded
 from .fields import GFElement
@@ -572,8 +571,7 @@ def elimination_ideal(ideal: Ideal, keep: Sequence[int]) -> Ideal:
 # ---------------------------------------------------------------------------
 # numerical invariants of the quotient ring
 
-@dataclass(frozen=True)
-class GradedHilbert:
+class GradedHilbert(NamedTuple):
     """Dimension of each graded piece of ring/ideal up to a degree bound."""
 
     dims: tuple

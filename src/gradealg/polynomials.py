@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import AmbientMismatch, ParseError
 from .fields import GFElement, PrimeField, RationalField
@@ -50,20 +50,6 @@ def mon_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 def mon_degree(a: Monomial) -> int:
     return sum(a)
-
-
-def monomials_of_degree(nvars: int, d: int) -> Iterator[Monomial]:
-    """All exponent tuples of total degree d, lexicographic in slot order."""
-    if nvars == 0:
-        if d == 0:
-            yield ()
-        return
-    if nvars == 1:
-        yield (d,)
-        return
-    for first in range(d, -1, -1):
-        for rest in monomials_of_degree(nvars - 1, d - first):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +188,6 @@ class PolyRing:
         exp = [0] * self.nvars
         exp[i] = 1
         return Polynomial(self, {tuple(exp): self.field.one})
-
-    def gens(self) -> tuple:
-        return tuple(self.var(i) for i in range(self.nvars))
 
     def monomial(self, mon: Monomial, coeff=None) -> "Polynomial":
         c = self.field.one if coeff is None else self.field(coeff)
@@ -574,7 +557,3 @@ def _parse(text: str, ring: PolyRing) -> Polynomial:
         raise ParseError(f"trailing input: {parser.tokens[parser.i][1]!r}")
     return poly
 
-
-def parse_poly(text: str, variables: Sequence[str], field: Field) -> Polynomial:
-    """Parse ``text`` in k[variables] for the given exact field."""
-    return PolyRing(variables, field).parse(text)

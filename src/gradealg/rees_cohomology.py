@@ -48,22 +48,19 @@ and meets B nowhere, so R fails to be CM.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .errors import InternalError
 from .simplicial import (
     CohomologyWindow,
     SimplicialComplex,
-    _profile,
     local_cohomology_window,
     restrict_complex,
     sr_invariants,
 )
 
 
-@dataclass(frozen=True)
-class SplitSRData:
+class SplitSRData(NamedTuple):
     """A join decomposition D = D1 * D2 along a vertex split (B, C)."""
 
     complex: SimplicialComplex
@@ -180,14 +177,14 @@ def adic_a_invariant(
     None when the top cohomology vanishes (impossible for a face ring).
     """
     b = frozenset(b)
-    faces = _profile(complex, field)[1].get(complex.dim + 1, ())
+    window = local_cohomology_window(complex, field)
+    faces = window.contrib_faces.get(window.max_index, ())
     if not faces:
         return None
     return -min(len(s & b) for s, _ in faces)
 
 
-@dataclass(frozen=True)
-class CMReesVerdict:
+class CMReesVerdict(NamedTuple):
     """Cohen-Macaulayness of the Rees ring, with the invariants that decide it."""
 
     cm_rees: bool
@@ -215,8 +212,7 @@ def decide_cm_rees(data: SplitSRData, field) -> CMReesVerdict:
     )
 
 
-@dataclass(frozen=True)
-class GenCMVerdict:
+class GenCMVerdict(NamedTuple):
     """Generalized Cohen-Macaulayness of the Rees ring.
 
     ``case`` names the branch that settled a positive answer:

@@ -23,7 +23,6 @@ empty face contributes".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb, gcd
@@ -380,8 +379,7 @@ def local_cohomology_window(complex: SimplicialComplex, field) -> CohomologyWind
     return CohomologyWindow(complex.dim + 1, contrib, contrib_faces)
 
 
-@dataclass(frozen=True)
-class SRInvariants:
+class SRInvariants(NamedTuple):
     """Homological invariants of a face ring over a given field."""
 
     dim: int
@@ -393,18 +391,15 @@ class SRInvariants:
 
 
 def sr_invariants(complex: SimplicialComplex, field) -> SRInvariants:
-    contrib, _ = _profile(complex, field)
-    d = complex.dim + 1
-    nonzero = [i for i in range(0, d + 1) if contrib.get(i)]
-    depth = min(nonzero) if nonzero else d
-    profile_top = contrib.get(d, {})
-    if not profile_top:
-        a_inv = None
-    elif 0 in profile_top:
-        a_inv = 0
-    else:
-        a_inv = -min(s for s in profile_top if s >= 1)
-    gencm = all(s == 0 for i in range(0, d) for s in contrib.get(i, {}))
+    """Depth and generalized CM read off the window's vanishing flags; the
+    a-invariant is the top degree of its top index."""
+    window = local_cohomology_window(complex, field)
+    d = window.max_index
+    depth = next((i for i in window.indices() if not window.flag(i).is_zero), d)
+    # a size-s entry reaches degree -s, the size-0 entry degree 0
+    profile_top = window.contrib.get(d)
+    a_inv = -min(profile_top) if profile_top else None
+    gencm = all(window.flag(i).finite_length for i in range(0, d))
     return SRInvariants(
         dim=d,
         depth=depth,

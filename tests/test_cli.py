@@ -193,6 +193,19 @@ def test_allow_linear_flag(tmp_path, capsys):
         assert main(["check-iso", "--input", str(path), "--allow-linear"]) == 0
 
 
+def test_allow_linear_certifies_a_variable_of_b_in_j(tmp_path):
+    # x3 lies in J and in B: the certificate must not refuse it as degenerate
+    spec = {"field": "Q", "variables": ["x1", "x2", "x3"], "J": ["x3", "x2^2"],
+            "I": ["x1"]}
+    out = tmp_path / "r.json"
+    with pytest.warns(UserWarning):
+        assert main(["check-iso", "--input", _write_spec(tmp_path, spec),
+                     "--allow-linear", "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["isomorphic"] and report["verified"]
+    assert report["B"] == ["x1", "x3"]
+
+
 def test_published_schema_files_match_module():
     docs = Path(__file__).parent.parent / "docs" / "schemas"
     assert json.loads((docs / "input.schema.json").read_text()) == INPUT_SCHEMA

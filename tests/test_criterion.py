@@ -72,6 +72,15 @@ def test_variable_generated_after_reduction():
     assert d.isomorphic
 
 
+def test_variable_generated_after_reduction_is_verified():
+    # x2 lies in J and in B; the certificate is built without rejecting it
+    R, J, f = setup("x1,x2", ["x2"], ["x1 + x2"])
+    with pytest.warns(UserWarning):
+        d = decide_and_verify(J, f, allow_linear=True)
+    assert d.isomorphic and d.verified
+    assert d.witness.b == (0, 1)
+
+
 def test_linear_generator_guard():
     R, J, f = setup("x1,x2", ["x2"], ["x1"])
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
-"""jsonschema and argparse stay off the import path and the accept path.
+"""jsonschema and argparse stay off the import path and the accept path,
+and so do dataclasses and inspect, which nothing in the package needs.
 
 Each test runs a fresh interpreter, since this process has long imported
 jsonschema and argparse for the oracle tests.
@@ -18,8 +19,9 @@ from gradealg.schemas import INPUT_SCHEMA
 ROOT = Path(__file__).parent.parent
 DATA = Path(__file__).parent / "data"
 
-# the modules only a rejection, --help or a usage error may load
-_LAZY = ("jsonschema", "argparse", "gettext", "locale")
+# the modules neither importing the CLI nor an accepted request may load;
+# of these, only a rejection, --help or a usage error loads the first four
+_LAZY = ("jsonschema", "argparse", "gettext", "locale", "dataclasses", "inspect")
 # prints the loaded ones of _LAZY, space-separated on one line, and exits with `code`
 _LOADED = f"print(*(m for m in {_LAZY!r} if m in sys.modules)); sys.exit(code)"
 # runs the CLI, then prints on its last stdout line which of _LAZY are loaded;

@@ -14,7 +14,6 @@ from gradealg.polynomials import (
     Bidegree,
     PolyRing,
     elimination_order,
-    monomials_of_degree,
 )
 
 
@@ -195,13 +194,6 @@ def test_rename_into_errors():
         R.parse("x").rename_into(ring("u,v"), {"x": "u", "y": "q"})
     with pytest.raises(AmbientMismatch):
         R.parse("x").rename_into(ring("x,y", GF(5)))
-
-
-def test_monomials_of_degree():
-    mons = list(monomials_of_degree(3, 2))
-    assert len(mons) == 6
-    assert all(sum(m) == 2 for m in mons)
-    assert len(set(mons)) == 6
 
 
 def test_ring_rejects_bad_names():
