@@ -42,7 +42,6 @@ from .polynomials import (
     BlockOrder,
     PolyRing,
     Polynomial,
-    bidegree,
     elimination_order,
 )
 from .rees_cohomology import (
@@ -51,12 +50,10 @@ from .rees_cohomology import (
     GenCMVerdict,
     SplitSRData,
     TensorWindow,
-    adic_a_invariant,
     assemble_rees_cohomology,
     decide_cm_rees,
     decide_gencm,
     dim_rees,
-    restrict_complex,
     window_table,
 )
 from .simplicial import (
@@ -66,8 +63,8 @@ from .simplicial import (
     SRInvariants,
     local_cohomology_window,
     reduced_homology_ranks,
+    restrict_complex,
     sr_invariants,
-    top_minimal_primes,
 )
 
 __version__ = "0.1.0"

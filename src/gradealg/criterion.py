@@ -4,11 +4,16 @@ Everything here works with presentations: A = S/J with S a polynomial ring,
 I given by homogeneous lifts. The decision is constructive both ways.
 
 The criterion: A and its associated graded ring along I are isomorphic
-(as graded quotients of the same kind of polynomial ring) exactly when
+(as graded quotients of the same kind of polynomial ring) when
 
   (1) modulo J, I is generated by a set of variables x_i (i in B), and
   (2) J can be regenerated so that every generator lies entirely in the
       B-variables or entirely in the complementary C-variables.
+
+Only this direction is proved (docs/math-notes.md §1), so only a positive
+decision is certified. A negative one names the condition that failed and
+no more: for J = (x1*x2) and I = (x1), J does not split along B = {x1},
+yet G = k[x1, x2, Y1]/(x1, x2*Y1) is isomorphic to A through Y1 -> x1.
 
 For (1) the candidate B is forced: with J generated in degrees >= 2, the set
 B = {i : x_i in I + J} is the only possible variable support, because the

@@ -438,10 +438,6 @@ class Polynomial:
         return f"<{self} in {self.ring!r}>"
 
 
-def bidegree(poly: Polynomial, x_indices, y_indices) -> Optional[Bidegree]:
-    return poly.bidegree(x_indices, y_indices)
-
-
 # ---------------------------------------------------------------------------
 # parser
 #

@@ -30,20 +30,19 @@ blocks compute the profile of H(R) once, from the factor profiles:
 
   as sum_m C(m, s-1) * C(N-m, t-1) = C(N+1, s+t-1), the product profile
   is the product of the factor profiles, with sizes and indices adding.
+  It is the rule that builds a face-ring profile from its join factors,
+  and one function, ``simplicial._profile_product``, serves both.
 
 All ranks are positive, so no entry cancels. Both windows are
 ``CohomologyWindow`` subclasses that only build their profile: dimensions
 and vanishing flags are read off it by the one rule of the base class.
 
 Whether R is Cohen-Macaulay is NOT visible from the standard grading of
-H^dim(A) alone. The t-grading of R restricts, on the associated graded
-side, to weighting each face contribution by how much of the face lies in
-B; R is CM exactly when A is CM and every face contributing to the top
-cohomology of A meets B (the B-weighted top degree, ``adic_a_invariant``
-here, is negative). The two-facet path with facets {0,2} and {1,2} and
+H^dim(A) alone: R is CM exactly when A is CM and a(A1) < 0
+(docs/math-notes.md §6), and a(A1) is the ideal-adic top degree reported
+as ``a_adic``. The two-facet path with facets {0,2} and {1,2} and
 B = {0,1} separates the readings: A is CM with standard top degree -1,
-but the vertex 2 contributes to top cohomology with a link of rank one
-and meets B nowhere, so R fails to be CM.
+but A1 is two points with a(A1) = 0, so R fails to be CM.
 """
 
 from __future__ import annotations
@@ -54,6 +53,7 @@ from .errors import InternalError
 from .simplicial import (
     CohomologyWindow,
     SimplicialComplex,
+    _profile_product,
     local_cohomology_window,
     restrict_complex,
     sr_invariants,
@@ -119,13 +119,7 @@ class TensorWindow(CohomologyWindow):
     def __init__(self, first: CohomologyWindow, second: CohomologyWindow):
         self.first = first
         self.second = second
-        contrib: dict = {}
-        for i, left in first.contrib.items():
-            for j, right in second.contrib.items():
-                row = contrib.setdefault(i + j, {})
-                for s, r in left.items():
-                    for t, u in right.items():
-                        row[s + t] = row.get(s + t, 0) + r * u
+        contrib = _profile_product(first.contrib, second.contrib)
         super().__init__(first.max_index + second.max_index, contrib)
 
     # looked up in vars(TensorWindow) by bench/tracing.py, as on BandWindow
@@ -166,24 +160,6 @@ def dim_rees(complex: SimplicialComplex, b: Iterable[int]) -> int:
     return d + 1 if top_meets else d
 
 
-def adic_a_invariant(
-    complex: SimplicialComplex, b: Iterable[int], field
-) -> Optional[int]:
-    """Top t-degree of the ideal-adic weighting on top local cohomology.
-
-    Each face contributing to H^dim(A) is weighted by the size of its
-    intersection with B; the invariant is minus the least weight, and it
-    is negative exactly when every contributing face meets B. Returns
-    None when the top cohomology vanishes (impossible for a face ring).
-    """
-    b = frozenset(b)
-    window = local_cohomology_window(complex, field)
-    faces = window.contrib_faces.get(window.max_index, ())
-    if not faces:
-        return None
-    return -min(len(s & b) for s, _ in faces)
-
-
 class CMReesVerdict(NamedTuple):
     """Cohen-Macaulayness of the Rees ring, with the invariants that decide it."""
 
@@ -197,9 +173,9 @@ class CMReesVerdict(NamedTuple):
 
 
 def decide_cm_rees(data: SplitSRData, field) -> CMReesVerdict:
-    """R is CM exactly when A is CM and the adic top degree is negative."""
+    """R is CM exactly when A is CM and a(A1) < 0; ``a_adic`` is a(A1)."""
     inv = sr_invariants(data.complex, field)
-    a_adic = adic_a_invariant(data.complex, data.b, field)
+    a_adic = sr_invariants(data.factor_b, field).a_invariant
     cm = inv.cm and a_adic is not None and a_adic < 0
     return CMReesVerdict(
         cm_rees=cm,

@@ -9,10 +9,14 @@ reduced homology of face links: a face s with link homology rank r in
 while the empty face contributes its rank at degree 0 only. Homology ranks
 come from sparse elimination on the boundary matrices, on ints mod p over
 GF(p) and fraction-free over the integers for Q, so everything downstream
-of this module is exact as well. The per-index contribution profile does
-not depend on any degree window: it is computed once per (complex, field),
-and a ``CohomologyWindow`` is a view of it that answers dimension queries
-at any degree.
+of this module is exact as well. The per-index contribution profile
+``{index: {face size: rank}}`` does not depend on any degree window: it is
+computed once per (complex, field), and a ``CohomologyWindow`` is a view of
+it that answers dimension queries at any degree. Link homology is computed
+on the finest join factors only, and the profile of a join is the product
+of its factors' profiles (indices add, sizes add, ranks multiply): the same
+product that gives the profile of a tensor product of modules in
+``rees_cohomology``.
 
 Vanishing flags fall out of the same profile. A nonempty contributing face
 of size s forces nonzero dimensions at every degree <= -s, and size-1 faces
@@ -68,8 +72,9 @@ class SimplicialComplex:
     def from_ideal(cls, J: Ideal) -> "SimplicialComplex":
         """Complex whose non-faces are the generator supports of J.
 
-        J must be generated by squarefree monomials; the vertex labels are
-        the variable indices of its ring.
+        J must be generated by nonconstant squarefree monomials: a constant
+        generator makes J the unit ideal and A = 0, which is no face ring.
+        The vertex labels are the variable indices of J's ring.
         """
         n = J.ring.nvars
         if n > VERTEX_BOUND:
@@ -81,6 +86,8 @@ class SimplicialComplex:
             (mon,) = g.terms
             if any(e > 1 for e in mon):
                 raise ValueError(f"{g} is not squarefree")
+            if not any(mon):
+                raise ValueError(f"J contains the unit {g}, so A = 0")
             supports.append(frozenset(i for i, e in enumerate(mon) if e))
         faces = [
             s
@@ -248,17 +255,15 @@ class IndexFlags(NamedTuple):
 class CohomologyWindow:
     """Graded dimensions of local cohomology, read off a per-index
     contribution profile: ``contrib[i]`` maps a face size s to a positive
-    rank r, and ``contrib_faces[i]`` lists the contributing faces with their
-    ranks. The window keeps its own copies of both.
+    rank r. The window keeps its own copy of it.
 
     ``dim_at`` and ``flag`` are exact at every degree; ``window_table``
     renders a band of degrees.
     """
 
-    def __init__(self, max_index: int, contrib: dict, contrib_faces: dict = {}):
+    def __init__(self, max_index: int, contrib: dict):
         self.max_index = max_index
         self.contrib = {i: dict(c) for i, c in contrib.items()}
-        self.contrib_faces = {i: tuple(fs) for i, fs in contrib_faces.items()}
 
     def indices(self) -> range:
         return range(0, self.max_index + 1)
@@ -315,68 +320,60 @@ def _join_factors(complex: SimplicialComplex) -> list:
 
 
 @lru_cache(maxsize=PROFILE_CACHE_SIZE)
-def _link_table(complex: SimplicialComplex, field) -> tuple:
-    """``(face, {e: rank})`` for every face with nonzero link homology,
-    ``e`` the homology index plus one. Cached per (complex, field) so a
-    join factor shared by several complexes is computed once."""
-    table = []
+def _factor_profile(complex: SimplicialComplex, field) -> dict:
+    """The contribution profile of one join factor, by one link homology
+    per face: a face s with link homology rank r in index h adds r to size
+    |s| of index |s| + h + 1. Cached per (complex, field) so a join factor
+    shared by several complexes is computed once."""
+    contrib: dict = {}
     for s in complex.faces():
-        link_ranks = reduced_homology_ranks(complex.link(s), field)
-        ranks = {h + 1: r for h, r in link_ranks.items() if r > 0}
-        if ranks:
-            table.append((s, ranks))
-    return tuple(table)
+        for h, r in reduced_homology_ranks(complex.link(s), field).items():
+            if r > 0:
+                row = contrib.setdefault(len(s) + h + 1, {})
+                row[len(s)] = row.get(len(s), 0) + r
+    return contrib
 
 
-def _join_tables(first, second) -> list:
-    """The link table of a join from those of its two factors: faces are
-    unions, and for each pair of entries ``e`` adds and ranks multiply."""
-    table = []
-    for s, a in first:
-        for t, b in second:
-            ranks: dict = {}
-            for e1, r1 in a.items():
-                for e2, r2 in b.items():
-                    ranks[e1 + e2] = ranks.get(e1 + e2, 0) + r1 * r2
-            table.append((s | t, ranks))
-    return table
+def _profile_product(first: dict, second: dict) -> dict:
+    """The profile of a join K * L, or of a tensor product M (x) N, from
+    the profiles of its two factors: indices add, sizes add, ranks multiply
+    (docs/math-notes.md §4). Indices ascend, and sizes ascend within an
+    index."""
+    product: dict = {}
+    for i, left in first.items():
+        for j, right in second.items():
+            row = product.setdefault(i + j, {})
+            for s, r in left.items():
+                for t, u in right.items():
+                    row[s + t] = row.get(s + t, 0) + r * u
+    return {i: dict(sorted(row.items())) for i, row in sorted(product.items())}
 
 
 @lru_cache(maxsize=PROFILE_CACHE_SIZE)
-def _profile(complex: SimplicialComplex, field) -> tuple:
-    """The window-independent contribution profile ``(contrib, contrib_faces)``.
+def _profile(complex: SimplicialComplex, field) -> dict:
+    """The window-independent contribution profile: ``contrib[i][s]`` sums
+    the link homology ranks of size-s faces contributing to index i.
 
-    ``contrib[i][s]`` sums the link homology ranks of size-s faces
-    contributing to index i; ``contrib_faces[i]`` lists those faces with
-    their ranks, by size, then lexicographically. Link homology is computed
-    on the finest join factors only: a face of a join K * L is s | t with
-    link lk s * lk t, whose reduced homology over a field is the shifted
-    tensor product of the two (docs/math-notes.md §4). Cached per
-    (complex, field): callers only read it, and windows copy it.
+    Link homology is computed on the finest join factors only: a face of a
+    join K * L is s | t with link lk s * lk t, whose reduced homology over
+    a field is the shifted tensor product of the two (docs/math-notes.md
+    §4), so the profile is the product of the factor profiles. Its unit,
+    the profile of the complex {empty} with no vertices, is one size-0 rank
+    in index 0. Cached per (complex, field): callers only read it, and
+    windows copy it.
     """
     if len(complex.vertices) > VERTEX_BOUND:
         raise LimitExceeded(
             f"{len(complex.vertices)} vertices exceed the bound {VERTEX_BOUND}"
         )
-    tables = [_link_table(factor, field) for factor in _join_factors(complex)]
-    # with no vertices, the complex is {empty}, the unit of the join
-    table = reduce(_join_tables, tables) if tables else [(frozenset(), {0: 1})]
-    contrib: dict = {}
-    contrib_faces: dict = {}
-    for s, ranks in sorted(table, key=lambda item: (len(item[0]), sorted(item[0]))):
-        for e, rank in sorted(ranks.items()):
-            i = e + len(s)
-            contrib.setdefault(i, {})
-            contrib[i][len(s)] = contrib[i].get(len(s), 0) + rank
-            contrib_faces.setdefault(i, []).append((s, rank))
-    return contrib, contrib_faces
+    factors = (_factor_profile(factor, field) for factor in _join_factors(complex))
+    return reduce(_profile_product, factors, {0: {0: 1}})
 
 
 def local_cohomology_window(complex: SimplicialComplex, field) -> CohomologyWindow:
     """Graded local cohomology of the face ring, as a window on its cached
     contribution profile."""
-    contrib, contrib_faces = _profile(complex, field)
-    return CohomologyWindow(complex.dim + 1, contrib, contrib_faces)
+    return CohomologyWindow(complex.dim + 1, _profile(complex, field))
 
 
 class SRInvariants(NamedTuple):
@@ -409,16 +406,3 @@ def sr_invariants(complex: SimplicialComplex, field) -> SRInvariants:
         field_name=field.name,
     )
 
-
-def top_minimal_primes(complex: SimplicialComplex) -> list:
-    """For each top-dimensional facet F, the variable set off F.
-
-    These index the minimal primes of top dimension of the face ring: the
-    prime of F is generated by the variables not in F.
-    """
-    top = complex.dim + 1
-    out = []
-    for f in complex.facets:
-        if len(f) == top:
-            out.append(tuple(sorted(set(complex.vertices) - f)))
-    return out

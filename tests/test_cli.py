@@ -271,7 +271,7 @@ def test_each_profile_is_computed_once(tmp_path, monkeypatch, argv, code, links)
         return original(complex, field)
 
     simplicial._profile.cache_clear()
-    simplicial._link_table.cache_clear()
+    simplicial._factor_profile.cache_clear()
     monkeypatch.setattr(simplicial, "reduced_homology_ranks", counting)
     spec = _cross_polytope_spec(tmp_path, pairs=4, b_pairs=2)
     assert main([*argv, "--input", str(spec)]) == code
@@ -477,6 +477,11 @@ def test_linear_generator_is_rejected_before_any_basis(tmp_path, monkeypatch, ca
             "dim",
             {"variables": ["x1", "x2", "x3"], "facets": [[1, 2]], "I": ["x3"]},
             "I is zero in A; the blowup pipeline needs a nonzero ideal",
+        ),
+        (
+            "cohomology",
+            {"variables": ["x1", "x2"], "J": ["1"], "I": ["x1"]},
+            "J contains the unit 1, so A = 0",
         ),
     ],
 )

@@ -47,6 +47,18 @@ def test_not_split_fixture():
     assert w is None
 
 
+def test_not_split_does_not_certify_a_negative():
+    # J = (x1*x2) does not split along B = {x1}, yet G is A through Y1 -> x1
+    R, J, f = setup("x1,x2", ["x1*x2"], ["x1"])
+    assert decide_iso(J, f).failure_reason == "not-split"
+    G = assoc_graded_presentation(J, f)
+    assert G.ring.variables == ("x1", "x2", "Y1")
+    assert ideal_equal(G.defining, Ideal.parse(G.ring, ["x1", "x2*Y1"]))
+    # modulo x1, G = k[x2, Y1]/(x2*Y1), and Y1 -> x1 carries its relation onto J
+    relation = G.ring.parse("x2*Y1").rename_into(R, {"Y1": "x1"})
+    assert ideal_equal(Ideal(R, [relation]), J)
+
+
 def test_principal_power_fixture():
     R, J, f = setup("x1,x2", ["x1^3"], ["x1"])
     d = decide_and_verify(J, f)

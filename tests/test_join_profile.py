@@ -1,5 +1,6 @@
 """Differential tests: the profile through the finest join decomposition
-against one link homology per face of the whole complex."""
+against one link homology per face of the whole complex, and the join
+product against the tensor product of windows."""
 
 import random
 from functools import reduce
@@ -7,7 +8,14 @@ from itertools import combinations
 
 import pytest
 
-from gradealg import GF, QQ, SimplicialComplex, restrict_complex
+from gradealg import (
+    GF,
+    QQ,
+    SimplicialComplex,
+    TensorWindow,
+    local_cohomology_window,
+    restrict_complex,
+)
 from gradealg import simplicial
 from gradealg.simplicial import _join_factors, _profile
 from tests.direct_profile import direct_profile
@@ -16,6 +24,7 @@ from tests.test_simplicial import RP2_FACETS
 FIELDS = (QQ, GF(2), GF(3))
 RP2 = SimplicialComplex(range(6), RP2_FACETS)
 CONE_RP2 = SimplicialComplex(range(7), [f + (6,) for f in RP2_FACETS])
+C4 = SimplicialComplex([6, 7, 8, 9], [(6, 7), (7, 8), (8, 9), (6, 9)])
 
 
 def _random_complex(rng: random.Random, labels: list) -> SimplicialComplex:
@@ -28,14 +37,10 @@ def _random_complex(rng: random.Random, labels: list) -> SimplicialComplex:
     return SimplicialComplex(labels, facets)
 
 
-def _ordered(profile: tuple) -> tuple:
+def _ordered(contrib: dict) -> list:
     """The profile as nested item lists, so that comparing it compares the
-    order of every dict and list as well as the values."""
-    contrib, contrib_faces = profile
-    return (
-        [(i, list(row.items())) for i, row in contrib.items()],
-        [(i, list(faces)) for i, faces in contrib_faces.items()],
-    )
+    order of every dict as well as the values."""
+    return [(i, list(row.items())) for i, row in contrib.items()]
 
 
 def _assert_profile_matches_oracle(complex: SimplicialComplex) -> None:
@@ -75,7 +80,7 @@ def test_profile_matches_oracle_on_random_complexes_joins_and_cones(complex):
     [
         RP2,
         CONE_RP2,
-        RP2.join(SimplicialComplex([6, 7, 8, 9], [(6, 7), (7, 8), (8, 9), (6, 9)])),
+        RP2.join(C4),
         SimplicialComplex(range(4), [(0, 1), (1, 2)]),  # vertex 3 is a ghost
         SimplicialComplex(range(3), []),  # {empty} on three ghost vertices
         SimplicialComplex([], []),  # no vertices
@@ -140,4 +145,30 @@ def test_minimal_nonfaces_on_sparse_labels():
 
 
 def test_link_table_cache_is_bounded():
-    assert simplicial._link_table.cache_info().maxsize == simplicial.PROFILE_CACHE_SIZE
+    assert simplicial._factor_profile.cache_info().maxsize == simplicial.PROFILE_CACHE_SIZE
+
+
+def _random_join_pairs(seed: int) -> list:
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(30):
+        a, b = rng.randint(0, 4), rng.randint(0, 4)
+        pairs.append(
+            (_random_complex(rng, list(range(a))), _random_complex(rng, list(range(a, a + b))))
+        )
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "first,second", _random_join_pairs(18) + [(RP2, C4)], ids=repr
+)
+def test_tensor_window_of_factors_is_the_window_of_the_join(first, second):
+    # k[K * L] = k[K] (x) k[L]: one product serves both
+    joined = first.join(second)
+    for field in FIELDS:
+        tensor = TensorWindow(
+            local_cohomology_window(first, field), local_cohomology_window(second, field)
+        )
+        window = local_cohomology_window(joined, field)
+        assert tensor.max_index == window.max_index
+        assert _ordered(tensor.contrib) == _ordered(window.contrib), (joined, field)

@@ -15,7 +15,6 @@ from gradealg import (
     PolyRing,
     SimplicialComplex,
     SplitSRData,
-    adic_a_invariant,
     assemble_rees_cohomology,
     decide_cm_rees,
     decide_gencm,
@@ -28,6 +27,7 @@ from gradealg import (
 )
 from tests import convolution_oracle as oracle
 from tests.cech_oracle import local_cohomology_dim
+from tests.direct_profile import adic_a_invariant
 from tests.test_simplicial import RP2_FACETS, random_complex
 
 TWO_POINTS = SimplicialComplex(range(2), [(0,), (1,)])
@@ -289,6 +289,24 @@ def test_adic_a_invariant_fixtures():
     simplex3 = SimplicialComplex(range(3), [(0, 1, 2)])
     assert adic_a_invariant(simplex3, (0, 1), QQ) == -2
     assert adic_a_invariant(PATH, (0, 1), QQ) == 0
+
+
+def test_a_adic_matches_face_weighted_oracle_on_random_splits():
+    # decide_cm_rees reads a(A1) off the B-factor; the oracle weights every
+    # face of top cohomology of the whole complex by its size in B
+    rng = random.Random(61)
+    fields = (QQ, GF(2), GF(3))
+    for k in range(300):
+        nb, nc = rng.randint(1, 4), rng.randint(1, 4)
+        complex = random_complex(rng, range(nb)).join(random_complex(rng, range(nb, nb + nc)))
+        # every fifth split puts all vertices in B, leaving C empty
+        data = SplitSRData.from_split(complex, complex.vertices if k % 5 == 0 else range(nb))
+        field = fields[k % 3]
+        expected = adic_a_invariant(complex, data.b, field)
+        assert decide_cm_rees(data, field).a_adic == expected, (complex, field)
+    for b in ((), (0,), (0, 1)):
+        data = SplitSRData.from_split(EDGE, b)
+        assert decide_cm_rees(data, QQ).a_adic == adic_a_invariant(EDGE, b, QQ)
 
 
 def test_path_rees_not_cm_despite_cm_base():
