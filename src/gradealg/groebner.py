@@ -42,6 +42,11 @@ Hilbert tables and ``krull_dim`` are read off the numerator of the Hilbert
 series of in(I) (of its radical for ``krull_dim``), graded by a (weight,
 degree) per variable and computed by Bigatti's pivot recursion (``_numerator``),
 at a cost set by the generators and the window, not by the counts (math-notes §9).
+
+Membership in an ideal generated by monomials needs no basis:
+``ideal_member`` decides it by divisibility of exponent tuples, with the same
+answer for every field and order (math-notes §10). Every other ideal goes
+through the normal form modulo its cached basis.
 """
 
 from __future__ import annotations
@@ -511,6 +516,12 @@ def normal_form(f: Polynomial, ideal: Ideal, order=GREVLEX) -> Polynomial:
 
 
 def ideal_member(f: Polynomial, ideal: Ideal, order=GREVLEX) -> bool:
+    """Whether f lies in the ideal; by divisibility when monomials generate it."""
+    if f.ring != ideal.ring:
+        raise AmbientMismatch("polynomial outside the basis ring")
+    if all(len(g.terms) == 1 for g in ideal.generators):
+        ms = [next(iter(g.terms)) for g in ideal.generators]
+        return all(any(all(map(le, m, t)) for m in ms) for t in f.terms)
     return not normal_form(f, ideal, order)
 
 

@@ -442,19 +442,42 @@ def test_check_iso_builds_one_presentation(monkeypatch):
 
 
 def test_linear_generator_is_rejected_before_any_basis(tmp_path, monkeypatch, capsys):
-    from gradealg import criterion, groebner
+    from gradealg import groebner
 
     def refuse(*args, **kwargs):
         raise AssertionError("a Groebner basis was computed")
 
     monkeypatch.setattr(groebner, "groebner_basis", refuse)
-    monkeypatch.setattr(criterion, "groebner_basis", refuse)
     # I is also zero modulo J, which only a basis shows: the syntactic
     # message comes first
     spec = {"variables": ["x1", "x2"], "J": ["x1 - x2", "x1"], "I": ["x2"]}
     assert main(["check-iso", "--input", _write_spec(tmp_path, spec)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: J has degree-1 generators (x1 - x2, x1)")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["dim"], ["cohomology", "--module", "R"], ["gencm"]],
+)
+def test_face_ring_commands_build_no_basis(tmp_path, monkeypatch, capsys, argv):
+    # J is a monomial ideal and I is generated by variables: membership is
+    # decided by divisibility, so no Buchberger run is needed
+    from gradealg import groebner
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Groebner basis was computed")
+
+    specs = [DATA / "path.json", _cross_polytope_spec(tmp_path, pairs=3, b_pairs=1)]
+    expected = []
+    for spec in specs:
+        code = main([*argv, "--input", str(spec)])
+        expected.append((code, capsys.readouterr().out))
+    groebner._cached_gb.cache_clear()
+    monkeypatch.setattr(groebner, "buchberger", refuse)
+    for spec, (code, out) in zip(specs, expected):
+        assert main([*argv, "--input", str(spec)]) == code
+        assert capsys.readouterr().out == out
 
 
 # one row per exit-1 message of cli.py that a schema-valid input reaches

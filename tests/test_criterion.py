@@ -13,9 +13,10 @@ from gradealg.criterion import (
     verify_iso_witness,
 )
 from gradealg.fields import GF, QQ
-from gradealg.groebner import Ideal, ideal_equal
+from gradealg.groebner import Ideal, ideal_equal, ideal_member, ideal_sum
 from gradealg.polynomials import PolyRing
 from tests.downstairs_hilbert import downstairs_bigraded_hilbert
+from tests.test_polynomials import random_poly
 
 
 def setup(names, j_texts, i_texts, field=QQ):
@@ -211,3 +212,50 @@ def test_mixed_generator_blocks_not_split():
     d = decide_iso(J, f)
     assert not d.isomorphic
     assert d.failure_reason == "not-split"
+
+
+def _two_sided_variable_basis(i_gens, J):
+    """``variable_subset_basis`` by ideal equality: I + J = (X_B) + J."""
+    S = J.ring
+    total = ideal_sum(Ideal(S, list(i_gens)), J)
+    b = tuple(i for i in range(S.nvars) if ideal_member(S.var(i), total))
+    if ideal_equal(total, ideal_sum(Ideal(S, [S.var(i) for i in b]), J)):
+        return b
+    return None
+
+
+def _random_j_generator(rng, S):
+    x = [S.var(i) for i in range(S.nvars)]
+    a, b, c = rng.sample(x, 3)
+    return rng.choice([
+        a * b,
+        a * b * c,
+        a**2 * b,
+        a * b - c**2,
+        a * c + b * c,
+        a - b,
+        random_poly(rng, S, max_terms=3, max_exp=3),
+    ])
+
+
+def _random_i_generator(rng, S, J):
+    x = [S.var(i) for i in range(S.nvars)]
+    a, b = rng.sample(x, 2)
+    choices = [a, a, a * b, a + b, a + b**2, random_poly(rng, S, max_terms=2, max_exp=3)]
+    if J.generators:
+        choices.append(a + b * rng.choice(J.generators))  # a modulo J
+    return rng.choice(choices)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_variable_subset_basis_matches_the_two_sided_oracle(field):
+    rng = random.Random(41 + field.characteristic)
+    S = PolyRing(("x1", "x2", "x3", "x4"), field)
+    found = set()
+    for _ in range(120):
+        J = Ideal(S, [_random_j_generator(rng, S) for _ in range(rng.randint(0, 2))])
+        f = [_random_i_generator(rng, S, J) for _ in range(rng.randint(1, 3))]
+        b = variable_subset_basis(f, J)
+        assert b == _two_sided_variable_basis(f, J), (J, f)
+        found.add(b is None)
+    assert found == {True, False}

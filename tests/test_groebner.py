@@ -195,6 +195,9 @@ def test_cross_ring_guard():
     f = ring("x,z").parse("x")
     with pytest.raises(AmbientMismatch):
         normal_form(f, a)
+    # a is generated by a monomial: the divisibility route checks the ring too
+    with pytest.raises(AmbientMismatch, match="^polynomial outside the basis ring$"):
+        ideal_member(f, a)
     with pytest.raises(AmbientMismatch):
         ideal_equal(a, Ideal.parse(ring("x,z"), ["x"]))
 
@@ -222,6 +225,54 @@ def test_random_membership_roundtrip(seed):
         for g in gens:
             h = h + random_poly(rng, R, max_terms=2, max_exp=2) * g
         assert ideal_member(h, I)
+
+
+def _random_monomial_ideal(rng, R, kind):
+    """A monomial ideal with odd coefficients (nonzero over every field):
+    ``kind`` is "squarefree", "general", "constant" or "zero"."""
+    if kind == "zero":
+        return Ideal(R, [])
+    top = 1 if kind == "squarefree" else 3
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        mon = tuple(rng.randint(0, top) for _ in range(R.nvars))
+        gens.append(R.monomial(mon, rng.choice((1, -1, 3, 5))) if any(mon) else R.var(0))
+    if kind == "constant":
+        gens.insert(rng.randint(0, len(gens)), R.constant(rng.choice((1, -1, 3))))
+    return Ideal(R, gens)
+
+
+def _random_candidate(rng, R, ideal):
+    """Zero, or a sum of squarefree terms, each possibly times a generator."""
+    from gradealg.polynomials import Polynomial
+
+    f = R.zero
+    for _ in range(rng.randint(0, 3)):
+        mon = tuple(rng.randint(0, 1) for _ in range(R.nvars))
+        term = Polynomial(R, {mon: R.field(rng.randrange(-9, 10))})
+        if ideal.generators and rng.random() < 0.5:
+            term = term * rng.choice(ideal.generators)
+        f = f + term
+    return f
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)])
+def test_monomial_membership_agrees_with_the_basis_route(field):
+    from tests.slow_groebner import buchberger as slow_buchberger
+    from tests.slow_groebner import normal_form as slow_normal_form
+
+    rng = random.Random(field.characteristic + 19)
+    R = ring("x,y,z,w", field)
+    seen = set()
+    for kind in ("squarefree", "general", "constant", "zero") * 6:
+        M = _random_monomial_ideal(rng, R, kind)
+        slow_basis = slow_buchberger(M.generators)
+        for f in [R.zero] + [_random_candidate(rng, R, M) for _ in range(8)]:
+            member = ideal_member(f, M)
+            assert member == (not groebner_basis(M).normal_form(f)), (f, M)
+            assert member == (not slow_normal_form(f, slow_basis)), (f, M)
+            seen.add(member)
+    assert seen == {True, False}
 
 
 def test_sympy_cross_check():
