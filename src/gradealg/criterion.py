@@ -19,12 +19,12 @@ For (1) the candidate B is forced: with J generated in degrees >= 2, the set
 B = {i : x_i in I + J} is the only possible variable support, because the
 degree-one part of (X_B') + J is spanned by the B'-variables themselves;
 since (X_B) + J lies in I + J by this choice, only I in (X_B) + J is tested.
-For (2) it is enough to compare J against its two elimination images:
-JB = J restricted to the B-variables, JC to the C-variables. Both inclusions
-of the equivalence are mechanical: a regrouped generating set splits into
-B-pure and C-pure generators which land in JB resp. JC, and conversely
-generators of JB and JC are elements of J. So J splits iff every given
-generator of J is a member of JB + JC.
+For (2) no regrouping is searched: J splits along B exactly when every
+element of its reduced grevlex basis lies in k[X_B] or in k[X_C], and then
+the two parts are the reduced bases of JB = J restricted to the B-variables
+and JC = J restricted to the C-variables (docs/math-notes.md §1). So the
+decision reads J's one cached basis; a constant, which only the unit
+ideal's basis holds, lies in both parts.
 
 A positive decision can be certified: the associated graded presentation on
 Y-variables (one per element of B) must equal (X_B) + JB-renamed + JC, where
@@ -38,13 +38,7 @@ import warnings
 from typing import NamedTuple, Optional, Sequence
 
 from . import blowup
-from .groebner import (
-    Ideal,
-    elimination_ideal,
-    ideal_equal,
-    ideal_member,
-    ideal_sum,
-)
+from .groebner import Ideal, groebner_basis, ideal_equal, ideal_member, ideal_sum
 
 
 class SplitWitness(NamedTuple):
@@ -90,15 +84,17 @@ def variable_subset_basis(i_gens, J: Ideal) -> Optional[tuple]:
 
 
 def split_check(J: Ideal, b: Sequence[int]) -> Optional[SplitWitness]:
-    """Try to certify that J regenerates as B-pure plus C-pure generators."""
+    """Split J's reduced grevlex basis into B-pure and C-pure parts, if it splits."""
     S = J.ring
     b = tuple(sorted(set(b)))
+    if any(i < 0 or i >= S.nvars for i in b):
+        raise ValueError("B indices outside the ring")
     c = tuple(i for i in range(S.nvars) if i not in set(b))
-    jb = elimination_ideal(J, b)
-    jc = elimination_ideal(J, c)
-    both = ideal_sum(jb, jc)
-    if not all(ideal_member(g, both) for g in J.generators):
+    basis = [(g, {i for m in g.terms for i, e in enumerate(m) if e}) for g in groebner_basis(J)]
+    if not all(used.isdisjoint(b) or used.isdisjoint(c) for _, used in basis):
         return None
+    jb = Ideal(S, [g for g, used in basis if used.isdisjoint(c)])
+    jc = Ideal(S, [g for g, used in basis if used.isdisjoint(b)])
     sigma = {S.variables[i]: f"Y{pos + 1}" for pos, i in enumerate(b)}
     return SplitWitness(b=b, c=c, jb=jb, jc=jc, sigma=sigma)
 

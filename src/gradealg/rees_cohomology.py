@@ -265,7 +265,7 @@ def decide_gencm(data: SplitSRData, field) -> GenCMVerdict:
             f"case={case} verdict={verdict} direct={direct}"
         )
 
-    cm = decide_cm_rees(data, field).cm_rees
+    cm = inv_a.cm and a1_negative  # decide_cm_rees's verdict, from the invariants above
     if cm and not verdict:
         raise InternalError("Cohen-Macaulay verdict without generalized CM")
     return GenCMVerdict(

@@ -89,13 +89,16 @@ class SimplicialComplex:
             if not any(mon):
                 raise ValueError(f"J contains the unit {g}, so A = 0")
             supports.append(frozenset(i for i, e in enumerate(mon) if e))
-        faces = [
+        faces = {
             s
             for size in range(n + 1)
             for s in map(frozenset, combinations(range(n), size))
             if not any(ns <= s for ns in supports)
-        ]
-        return cls(range(n), faces)
+        }
+        # faces are closed under subsets, so a face is a facet exactly when
+        # no one vertex extends it; only those reach __init__'s scan
+        facets = [s for s in faces if all(s | {v} not in faces for v in set(range(n)) - s)]
+        return cls(range(n), facets)
 
     @property
     def dim(self) -> int:

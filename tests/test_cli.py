@@ -381,17 +381,19 @@ def test_hilbert_on_variables_named_y1_and_t(tmp_path):
 
 
 def test_failed_self_check_is_an_internal_error(monkeypatch, capsys):
-    import types
-
     from gradealg import rees_cohomology
 
-    # path.json is not generalized CM; a CM verdict now contradicts it
+    # path.json is not generalized CM; invariants claiming a CM base and
+    # a(A1) < 0, but no generalized CM, make a CM verdict that contradicts it
+    real = rees_cohomology.sr_invariants
     monkeypatch.setattr(
-        rees_cohomology, "decide_cm_rees", lambda data, field: types.SimpleNamespace(cm_rees=True)
+        rees_cohomology,
+        "sr_invariants",
+        lambda cx, field: real(cx, field)._replace(cm=True, gencm=False, a_invariant=-1),
     )
     assert main(["gencm", "--input", str(DATA / "path.json")]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert err == "internal error: Cohen-Macaulay verdict without generalized CM\n"
 
 
 def test_report_failing_its_schema_is_an_internal_error(monkeypatch, capsys):

@@ -13,7 +13,7 @@ from gradealg.criterion import (
     verify_iso_witness,
 )
 from gradealg.fields import GF, QQ
-from gradealg.groebner import Ideal, ideal_equal, ideal_member, ideal_sum
+from gradealg.groebner import Ideal, elimination_ideal, ideal_equal, ideal_member, ideal_sum
 from gradealg.polynomials import PolyRing
 from tests.downstairs_hilbert import downstairs_bigraded_hilbert
 from tests.test_polynomials import random_poly
@@ -259,3 +259,105 @@ def test_variable_subset_basis_matches_the_two_sided_oracle(field):
         assert b == _two_sided_variable_basis(f, J), (J, f)
         found.add(b is None)
     assert found == {True, False}
+
+
+def _eliminated_split(J, b):
+    """``split_check`` by elimination: ``(JB, JC)`` as J ∩ k[X_B] and J ∩ k[X_C]
+    under block orders, when J's generators lie in their sum, else None."""
+    c = [i for i in range(J.ring.nvars) if i not in b]
+    jb, jc = elimination_ideal(J, b), elimination_ideal(J, c)
+    both = ideal_sum(jb, jc)
+    if all(ideal_member(g, both) for g in J.generators):
+        return jb, jc
+    return None
+
+
+def _assert_split_matches_oracle(J, b):
+    w, oracle = split_check(J, b), _eliminated_split(J, b)
+    assert (w is None) == (oracle is None), (J, b)
+    if w is not None:
+        assert [str(g) for g in w.jb.generators] == [str(g) for g in oracle[0].generators]
+        assert [str(g) for g in w.jc.generators] == [str(g) for g in oracle[1].generators]
+    return w
+
+
+@pytest.mark.parametrize(
+    "names,j_texts,b,splits",
+    [
+        ("x1,x2,x3", ["x3", "x2^2"], (0,), True),  # x3 in J, the B of I = (x1) omits it
+        ("x1,x2,x3", ["x3", "x2^2"], (0, 2), True),  # ... and the B of decide_iso holds it
+        ("x1,x2,x3", ["x1*x2 + x3^2", "x3"], (0, 1), True),  # regrouping is needed
+        ("x1,x2", ["x1*x2"], (0, 1), True),  # C is empty
+        ("x1,x2", ["x1*x2"], (), True),  # B is empty
+        ("x1,x2", ["1", "x1^2"], (0,), True),  # the unit ideal
+        ("x1,x2", [], (0,), True),  # the zero ideal
+        ("x1,x2", ["x1*x2"], (0,), False),
+        ("x1,x2,x3", ["x1*x3 + x2*x3"], (0, 1), False),
+        ("x1,x2,x3", ["x1^2 - x3^2", "x1*x2"], (0,), False),
+    ],
+)
+def test_split_check_fixtures_match_the_elimination_oracle(names, j_texts, b, splits):
+    R = PolyRing(tuple(names.split(",")), QQ)
+    w = _assert_split_matches_oracle(Ideal.parse(R, j_texts), b)
+    assert (w is not None) == splits
+
+
+def test_split_check_rejects_indices_outside_the_ring():
+    J = Ideal.parse(_R, ["x1*x2"])
+    for b in [(2,), (-1,), (0, 5)]:
+        with pytest.raises(ValueError):
+            split_check(J, b)
+
+
+def _random_form(rng, S, support, degree):
+    """A nonzero form of the given degree in the variables of ``support``."""
+    f = S.zero
+    while not f:
+        for _ in range(rng.randint(1, 3)):
+            mon = [0] * S.nvars
+            for _ in range(degree):
+                mon[rng.choice(support)] += 1
+            f = f + S.monomial(tuple(mon), S.field(rng.randrange(1, 7)))
+    return f
+
+
+def _random_split_problem(rng, S):
+    """A seeded (J, B): a split J, often with a generator mixed across the
+    blocks, or J from forms in random variables; now and then B is every
+    variable or J is the unit ideal."""
+    n = S.nvars
+    size = n if rng.random() < 0.1 else rng.randint(1, n - 1)  # now and then C is empty
+    b = tuple(sorted(rng.sample(range(n), size)))
+    c = [i for i in range(n) if i not in b]
+    split = rng.random() < 0.5
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        if split:
+            support = list(b) if not c or rng.random() < 0.5 else c
+        else:
+            support = rng.sample(range(n), rng.randint(2, n))
+        gens.append(_random_form(rng, S, support, rng.choice([1, 2, 2, 3])))
+    if len(gens) > 1 and rng.random() < 0.5:
+        # g + h*f for a generator f of at most g's degree: the same ideal
+        gens.sort(key=lambda g: g.total_degree())
+        f, g = gens[0], gens[-1]
+        h = _random_form(rng, S, range(n), g.total_degree() - f.total_degree())
+        gens[-1] = g + h * f
+    if rng.random() < 0.05:
+        gens.append(S.one)
+    return Ideal(S, gens), b
+
+
+# draws per field; the differential test also passes at ten times this
+SPLIT_DRAWS = 100
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)])
+def test_split_check_matches_the_elimination_oracle(field):
+    rng = random.Random(1009 + field.characteristic)
+    verdicts = set()
+    for _ in range(SPLIT_DRAWS):
+        S = PolyRing(tuple(f"x{i + 1}" for i in range(rng.randint(2, 4))), field)
+        J, b = _random_split_problem(rng, S)
+        verdicts.add(_assert_split_matches_oracle(J, b) is not None)
+    assert verdicts == {True, False}

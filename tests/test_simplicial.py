@@ -86,6 +86,32 @@ def test_from_ideal_rejects_bad_generators():
         SimplicialComplex.from_ideal(Ideal.parse(R, ["1"]))
 
 
+class _Recording(SimplicialComplex):
+    """Keeps the face list its constructor was last given."""
+
+    __slots__ = ()
+    given = None
+
+    def __init__(self, vertices, faces):
+        _Recording.given = set(faces)
+        super().__init__(vertices, _Recording.given)
+
+
+def test_from_ideal_inverts_the_minimal_nonface_ideal():
+    from gradealg.cli import _minimal_nonface_ideal
+
+    rng = random.Random(59)
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        facets = [rng.sample(range(n), rng.randint(0, n)) for _ in range(rng.randint(0, 5))]
+        c = SimplicialComplex(range(n), facets)
+        R = PolyRing([f"x{i}" for i in range(1, n + 1)], QQ)
+        back = _Recording.from_ideal(_minimal_nonface_ideal(R, c))
+        assert (back.vertices, back.facets) == (c.vertices, c.facets), facets
+        # only the facets reach the constructor's maximality scan
+        assert _Recording.given == set(c.facets)
+
+
 def test_from_ideal_vertex_bound():
     R = PolyRing([f"x{i}" for i in range(1, 14)], QQ)
     with pytest.raises(LimitExceeded):
