@@ -5,7 +5,6 @@ from .blowup import (
     ReesPresentation,
     assoc_graded_presentation,
     bigraded_hilbert,
-    is_graded_relation,
     presentation_bigraded_hilbert,
     rees_presentation,
 )
@@ -38,7 +37,6 @@ from .groebner import (
 from .polynomials import (
     GREVLEX,
     LEX,
-    Bidegree,
     BlockOrder,
     PolyRing,
     Polynomial,

@@ -10,11 +10,15 @@ so generator lists are canonical and absorbed relations disappear.
 The bigrading on the presentation ring: an S-variable has bidegree
 (internal degree 1, weight 0); Y_i has (deg f_i, 1). Weight counts the adic
 level I^n/I^(n+1); internal degree is the one inherited from S.
+
+Every presentation names its variables by one rule: Y_i is "Y<i>" with "_"
+appended until no base variable has that name (``_y_variables``), and the
+eliminated variable is "t" extended the same way past both.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import LimitExceeded
 from .groebner import (
@@ -24,8 +28,6 @@ from .groebner import (
     groebner_basis,
     hilbert_function,
     ideal_member,
-    ideal_power,
-    ideal_sum,
 )
 from .polynomials import PolyRing, Polynomial
 
@@ -35,19 +37,17 @@ MAX_LEVEL_BOUND = 16
 MAX_DEGREE_BOUND = 20
 
 
-def _default_y_names(base: PolyRing, m: int) -> tuple:
-    names = tuple(f"Y{i + 1}" for i in range(m))
-    clash = set(names) & set(base.variables)
-    if clash:
-        raise ValueError(f"variable names {sorted(clash)} collide with Y-variables")
-    return names
-
-
 def _fresh_name(taken, stem: str) -> str:
     name = stem
     while name in taken:
         name += "_"
     return name
+
+
+def _y_variables(base: PolyRing, m: int) -> tuple:
+    """The names of the m Y-variables of a presentation over ``base``."""
+    taken = set(base.variables)
+    return tuple(_fresh_name(taken, f"Y{i + 1}") for i in range(m))
 
 
 class ReesPresentation(NamedTuple):
@@ -72,7 +72,7 @@ class ReesPresentation(NamedTuple):
         return (weight, internal)
 
 
-def _validated_input(J: Ideal, f: Sequence[Polynomial]):
+def _validated_input(J: Ideal, f: Sequence[Polynomial]) -> tuple:
     S = J.ring
     f = tuple(f)
     if not f:
@@ -86,27 +86,21 @@ def _validated_input(J: Ideal, f: Sequence[Polynomial]):
             raise ValueError("ideal generators must be homogeneous of positive degree")
         if ideal_member(g, J):
             raise ValueError(f"degenerate generator {g}: already zero in the quotient")
-    return S, f
+    return f
 
 
-def rees_presentation(
-    J: Ideal, f: Sequence[Polynomial], y_names: Optional[Sequence[str]] = None
-) -> ReesPresentation:
+def rees_presentation(J: Ideal, f: Sequence[Polynomial]) -> ReesPresentation:
     """Defining ideal of the Rees algebra (S/J)[It], I = (f)."""
-    _, f = _validated_input(J, f)
-    return _rees_presentation(J, f, y_names)
+    f = _validated_input(J, f)
+    return _rees_presentation(J, f)
 
 
-def _rees_presentation(J: Ideal, f: tuple, y_names) -> ReesPresentation:
+def _rees_presentation(J: Ideal, f: tuple) -> ReesPresentation:
     """``rees_presentation`` on generators already validated against J."""
     S = J.ring
-    m = len(f)
-    y_names = tuple(y_names) if y_names else _default_y_names(S, m)
-    if len(y_names) != m:
-        raise ValueError("need one Y-name per generator")
-
-    t_name = _fresh_name(set(S.variables) | set(y_names), "t")
-    big = PolyRing(S.variables + y_names + (t_name,), S.field)
+    ys = _y_variables(S, len(f))
+    t_name = _fresh_name(set(S.variables) | set(ys), "t")
+    big = PolyRing(S.variables + ys + (t_name,), S.field)
     t = big.var(big.nvars - 1)
     n = S.nvars
 
@@ -118,14 +112,14 @@ def _rees_presentation(J: Ideal, f: tuple, y_names) -> ReesPresentation:
     # t is the last variable and absent from kept: drop its exponent. The
     # block order is grevlex on X, Y, so kept is already the reduced grevlex
     # basis of the defining ideal, in its order (math-notes §8)
-    xy = PolyRing(S.variables + y_names, S.field)
+    xy = PolyRing(S.variables + ys, S.field)
     defining = Ideal(xy, [Polynomial(xy, {m[:-1]: c for m, c in g.terms.items()}) for g in kept])
 
     return ReesPresentation(
         ring=xy,
         base_ring=S,
         x_names=S.variables,
-        y_names=y_names,
+        y_names=ys,
         y_degrees=tuple(g.total_degree() for g in f),
         f=f,
         defining=defining,
@@ -133,12 +127,10 @@ def _rees_presentation(J: Ideal, f: tuple, y_names) -> ReesPresentation:
     )
 
 
-def assoc_graded_presentation(
-    J: Ideal, f: Sequence[Polynomial], y_names: Optional[Sequence[str]] = None
-) -> ReesPresentation:
+def assoc_graded_presentation(J: Ideal, f: Sequence[Polynomial]) -> ReesPresentation:
     """Defining ideal of the associated graded ring of I = (f) on S/J."""
-    _, f = _validated_input(J, f)
-    return _assoc_graded_from_rees(_rees_presentation(J, f, y_names))
+    f = _validated_input(J, f)
+    return _assoc_graded_from_rees(_rees_presentation(J, f))
 
 
 def _assoc_graded_from_rees(rees: ReesPresentation) -> ReesPresentation:
@@ -157,29 +149,6 @@ def _assoc_graded_from_rees(rees: ReesPresentation) -> ReesPresentation:
         defining=defining,
         target="assoc_graded",
     )
-
-
-def is_graded_relation(g: Polynomial, J: Ideal, f: Sequence[Polynomial]) -> bool:
-    """Check that g names a genuine relation of the associated graded ring.
-
-    g lives in the presentation ring on X- and Y-variables and must be
-    bihomogeneous there. With d its Y-weight, the test substitutes Y_i -> f_i
-    and asks whether the result falls one adic level deeper, i.e. into
-    I^(d+1) + J. Relations of weight zero land in I + J.
-    """
-    S, f = _validated_input(J, f)
-    n, m = S.nvars, len(f)
-    if g.ring.nvars != n + m:
-        raise ValueError("relation must live in the presentation ring")
-    x_idx, y_idx = tuple(range(n)), tuple(range(n, n + m))
-    bideg = g.bidegree(x_idx, y_idx)
-    if bideg is None:
-        raise ValueError(f"{g} is not bihomogeneous in the variable split")
-    d = bideg.y_degree
-    images = [S.var(i) for i in range(n)] + list(f)
-    substituted = g.map_into(S, images)
-    target = ideal_sum(ideal_power(Ideal(S, f), d + 1, bound=d + 1), J)
-    return ideal_member(substituted, target)
 
 
 class BigradedHilbert(NamedTuple):
@@ -211,21 +180,19 @@ def bigraded_hilbert(
 ) -> BigradedHilbert:
     """dim of (I^n/I^(n+1))_d for n <= level_bound, d <= degree_bound.
 
-    Counted upstairs, on the associated graded presentation (fresh Y-names,
-    so any base variable names work). Before any Groebner basis past J's
-    own, the standard monomials of in(J) below degree
-    (level_bound + 1) * min deg f are counted under the same budget:
+    Counted upstairs, on the associated graded presentation, whose Y-names
+    avoid the base variables as every presentation's do. Before any
+    Groebner basis past J's own, the standard monomials of in(J) below
+    degree (level_bound + 1) * min deg f are counted under the same budget:
     I^(level_bound+1) has nothing there, so the window holds all of A in
     those degrees and their count is a lower bound of the upstairs count
     (docs/math-notes.md §9).
     """
-    S, f = _validated_input(J, f)
+    f = _validated_input(J, f)
     _check_bounds(level_bound, degree_bound)
     low = min(g.total_degree() for g in f)
     hilbert_function(J, min(degree_bound, (level_bound + 1) * low - 1))
-    taken = set(S.variables)
-    y_names = [_fresh_name(taken, f"Y{i + 1}") for i in range(len(f))]
-    pres = _assoc_graded_from_rees(_rees_presentation(J, f, y_names))
+    pres = _assoc_graded_from_rees(_rees_presentation(J, f))
     return presentation_bigraded_hilbert(pres, level_bound, degree_bound)
 
 

@@ -55,8 +55,8 @@ from .groebner import Ideal
 from .polynomials import GREVLEX, PolyRing
 from .rees_cohomology import (
     SplitSRData,
+    _cm_rees,
     assemble_rees_cohomology,
-    decide_cm_rees,
     decide_gencm,
     dim_rees,
     window_table,
@@ -250,7 +250,7 @@ def _cmd_cohomology(problem: _Problem, spec: dict, args) -> tuple:
     else:
         data = SplitSRData.from_split(complex, _variable_basis(problem, complex))
         window = assemble_rees_cohomology(data, field)
-        verdict = decide_cm_rees(data, field)
+        verdict = _cm_rees(data, field, inv, sr_invariants(data.factor_b, field))
         dim_r, adic, cm_r = verdict.dim_rees, verdict.a_adic, verdict.cm_rees
     table = window_table(window, lo, hi)
     report = {

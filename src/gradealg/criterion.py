@@ -95,7 +95,7 @@ def split_check(J: Ideal, b: Sequence[int]) -> Optional[SplitWitness]:
         return None
     jb = Ideal(S, [g for g, used in basis if used.isdisjoint(c)])
     jc = Ideal(S, [g for g, used in basis if used.isdisjoint(b)])
-    sigma = {S.variables[i]: f"Y{pos + 1}" for pos, i in enumerate(b)}
+    sigma = dict(zip((S.variables[i] for i in b), blowup._y_variables(S, len(b))))
     return SplitWitness(b=b, c=c, jb=jb, jc=jc, sigma=sigma)
 
 
@@ -152,7 +152,7 @@ def _verify_iso_witness(J: Ideal, witness: SplitWitness) -> tuple:
     f = tuple(S.var(i) for i in witness.b)
     # decide_iso has validated I; a variable of B may lie in J, which the
     # validating assoc_graded_presentation would refuse
-    pres = blowup._assoc_graded_from_rees(blowup._rees_presentation(J, f, None))
+    pres = blowup._assoc_graded_from_rees(blowup._rees_presentation(J, f))
     xy = pres.ring
     expected = (
         [xy.var(xy.var_index(S.variables[i])) for i in witness.b]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import AmbientMismatch, ParseError
 from .fields import GFElement, PrimeField, RationalField
@@ -210,11 +210,6 @@ class PolyRing:
         return f"{self.field.name}[{', '.join(self.variables)}]"
 
 
-class Bidegree(NamedTuple):
-    x_degree: int
-    y_degree: int
-
-
 class Polynomial:
     """Immutable sparse polynomial. Arithmetic via operators."""
 
@@ -344,38 +339,6 @@ class Polynomial:
         return self * (self.ring.field.one / c)
 
     # -- structure ----------------------------------------------------------
-
-    def bidegree(self, x_indices, y_indices) -> Optional[Bidegree]:
-        """Bidegree w.r.t. a variable split, or None if not bihomogeneous.
-
-        x_indices and y_indices must partition the ring's variables.
-        """
-        xs, ys = set(x_indices), set(y_indices)
-        if xs & ys or xs | ys != set(range(self.ring.nvars)):
-            raise ValueError("variable split must partition the ring variables")
-        if not self.terms:
-            return None
-        pairs = {
-            (sum(m[i] for i in xs), sum(m[i] for i in ys)) for m in self.terms
-        }
-        if len(pairs) != 1:
-            return None
-        return Bidegree(*pairs.pop())
-
-    def map_into(self, target: PolyRing, images: Sequence["Polynomial"]) -> "Polynomial":
-        """Ring map sending variable i to images[i] (a target polynomial)."""
-        if len(images) != self.ring.nvars:
-            raise ValueError("need one image per variable")
-        if target.field != self.ring.field:
-            raise AmbientMismatch("ring map must preserve the field")
-        out = target.zero
-        for m, c in self.terms.items():
-            piece = target.constant(c)
-            for i, e in enumerate(m):
-                if e:
-                    piece = piece * images[i] ** e
-            out = out + piece
-        return out
 
     def rename_into(self, target: PolyRing, name_map: Optional[dict] = None) -> "Polynomial":
         """Move to another ring matching variables by name (or by name_map)."""

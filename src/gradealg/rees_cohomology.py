@@ -53,6 +53,7 @@ from .errors import InternalError
 from .simplicial import (
     CohomologyWindow,
     SimplicialComplex,
+    SRInvariants,
     _profile_product,
     local_cohomology_window,
     restrict_complex,
@@ -174,11 +175,16 @@ class CMReesVerdict(NamedTuple):
 
 def decide_cm_rees(data: SplitSRData, field) -> CMReesVerdict:
     """R is CM exactly when A is CM and a(A1) < 0; ``a_adic`` is a(A1)."""
-    inv = sr_invariants(data.complex, field)
-    a_adic = sr_invariants(data.factor_b, field).a_invariant
-    cm = inv.cm and a_adic is not None and a_adic < 0
+    return _cm_rees(
+        data, field, sr_invariants(data.complex, field), sr_invariants(data.factor_b, field)
+    )
+
+
+def _cm_rees(data: SplitSRData, field, inv: SRInvariants, inv1: SRInvariants) -> CMReesVerdict:
+    """``decide_cm_rees`` from the invariants of A (inv) and of A1 (inv1)."""
+    a_adic = inv1.a_invariant
     return CMReesVerdict(
-        cm_rees=cm,
+        cm_rees=inv.cm and a_adic is not None and a_adic < 0,
         cm_base=inv.cm,
         a_adic=a_adic,
         a_standard=inv.a_invariant,
@@ -265,7 +271,7 @@ def decide_gencm(data: SplitSRData, field) -> GenCMVerdict:
             f"case={case} verdict={verdict} direct={direct}"
         )
 
-    cm = inv_a.cm and a1_negative  # decide_cm_rees's verdict, from the invariants above
+    cm = _cm_rees(data, field, inv_a, inv1).cm_rees
     if cm and not verdict:
         raise InternalError("Cohen-Macaulay verdict without generalized CM")
     return GenCMVerdict(

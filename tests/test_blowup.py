@@ -8,7 +8,6 @@ import pytest
 from gradealg.blowup import (
     assoc_graded_presentation,
     bigraded_hilbert,
-    is_graded_relation,
     presentation_bigraded_hilbert,
     rees_presentation,
 )
@@ -19,6 +18,7 @@ from gradealg.groebner import Ideal, count_standard_monomials, hilbert_function,
 from gradealg.polynomials import GREVLEX, PolyRing, Polynomial, elimination_order
 from tests import slow_groebner
 from tests.downstairs_hilbert import downstairs_bigraded_hilbert
+from tests.graded_relation import is_graded_relation
 
 
 def setup(names, j_texts, i_texts, field=QQ):
@@ -72,17 +72,16 @@ def test_two_points_full_blowup():
     assert gens(assoc) == ["Y1*Y2", "x1", "x2"]
 
 
-def test_custom_y_names_and_t_clash():
+def test_y_names_and_t_avoid_base_variables():
     R, J, f = setup("t,u", [], ["t"])
-    pres = rees_presentation(J, f, y_names=["T"])
-    assert pres.y_names == ("T",)
-    assert pres.ring.variables == ("t", "u", "T")
-    # default Y names collide with base variables
-    R2, J2, f2 = setup("Y1,x", [], ["x"])
-    with pytest.raises(ValueError):
-        rees_presentation(J2, f2)
-    ok = rees_presentation(J2, f2, y_names=["Z"])
-    assert ok.ring.variables == ("Y1", "x", "Z")
+    pres = rees_presentation(J, f)
+    assert pres.y_names == ("Y1",)
+    assert pres.ring.variables == ("t", "u", "Y1")
+    # a Y-name taken by a base variable gets "_" until it is free
+    R2, J2, f2 = setup("Y1,Y1_,x", [], ["x", "Y1"])
+    for pres in (rees_presentation(J2, f2), assoc_graded_presentation(J2, f2)):
+        assert pres.y_names == ("Y1__", "Y2")
+        assert pres.ring.variables == ("Y1", "Y1_", "x", "Y1__", "Y2")
 
 
 _R = PolyRing(("x1", "x2"), QQ)
@@ -95,8 +94,6 @@ _OTHER = PolyRing(("y1", "y2"), QQ)
     [
         (lambda: rees_presentation(Ideal.parse(_R, ["x1*x2"]), [_OTHER.parse("y1")]),
          "ideal generators must live in the base ring"),
-        (lambda: rees_presentation(Ideal(_R, []), [_R.parse("x1"), _R.parse("x2")], y_names=["T"]),
-         "need one Y-name per generator"),
         (lambda: is_graded_relation(_R.parse("x1"), Ideal.parse(_R, ["x1*x2"]), [_R.parse("x1")]),
          "relation must live in the presentation ring"),
     ],

@@ -380,6 +380,34 @@ def test_hilbert_on_variables_named_y1_and_t(tmp_path):
     assert json.loads(out.read_text())["entries"] == entries
 
 
+# split.json with x2 renamed Y1 and x3 renamed t, the default Y- and t-names
+_CLASHING = {"variables": ["x1", "Y1", "t"], "J": ["x1*Y1", "t^2"], "I": ["x1", "Y1"]}
+
+
+def test_presentation_and_check_iso_rename_clashing_y_variables(tmp_path):
+    path = _write_spec(tmp_path, _CLASHING)
+    out = tmp_path / "r.json"
+    assert main(["presentation", "--input", path, "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    for block in ("rees", "assoc_graded"):
+        assert report[block]["x_variables"] == ["x1", "Y1", "t"]
+        assert report[block]["y_variables"] == ["Y1_", "Y2"]
+    assert main(["check-iso", "--input", path, "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["isomorphic"] is True and report["verified"] is True
+    assert report["kernel_generators"] == ["t^2", "Y1_*Y2", "x1", "Y1"]
+
+
+def test_hilbert_table_ignores_clashing_names(tmp_path):
+    renamed = {"variables": ["x1", "y", "s"], "J": ["x1*y", "s^2"], "I": ["x1", "y"]}
+    tables = []
+    for spec in (_CLASHING, renamed):
+        out = tmp_path / "r.json"
+        assert main(["hilbert", "--input", _write_spec(tmp_path, spec), "--json", str(out)]) == 0
+        tables.append(json.loads(out.read_text())["entries"])
+    assert tables[0] == tables[1] != []
+
+
 def test_failed_self_check_is_an_internal_error(monkeypatch, capsys):
     from gradealg import rees_cohomology
 
@@ -434,9 +462,9 @@ def test_check_iso_builds_one_presentation(monkeypatch):
     calls = []
     original = blowup._rees_presentation
 
-    def counting(J, f, y_names):
+    def counting(J, f):
         calls.append(f)
-        return original(J, f, y_names)
+        return original(J, f)
 
     monkeypatch.setattr(blowup, "_rees_presentation", counting)
     assert main(["check-iso", "--input", str(DATA / "split.json")]) == 0

@@ -6,6 +6,7 @@ import pytest
 
 from gradealg.blowup import assoc_graded_presentation, presentation_bigraded_hilbert
 from gradealg.criterion import (
+    _verify_iso_witness,
     decide_and_verify,
     decide_iso,
     split_check,
@@ -180,6 +181,16 @@ def test_witness_kernel_matches_hilbert():
     upstairs = presentation_bigraded_hilbert(pres, 5, 5)
     downstairs = downstairs_bigraded_hilbert(J, f, 5, 5)
     assert upstairs.dims == downstairs.dims
+
+
+def test_sigma_uses_the_presentation_y_names():
+    # base variables named Y1 and t: sigma renames into the certificate's ring
+    R, J, f = setup("x1,Y1,t", ["x1*Y1", "t^2"], ["x1", "Y1"])
+    w = decide_iso(J, f).witness
+    assert w.sigma == {"x1": "Y1_", "Y1": "Y2"}
+    verified, pres = _verify_iso_witness(J, w)
+    assert verified
+    assert tuple(w.sigma.values()) == pres.y_names
 
 
 def test_verify_rejects_tampered_witness():
