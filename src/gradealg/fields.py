@@ -1,9 +1,11 @@
 """Exact coefficient fields: the rationals and prime fields GF(p).
 
 Rational arithmetic is stdlib ``fractions.Fraction`` (always lowest terms,
-positive denominator). GF(p) elements are residues in [0, p) wrapping modular
-arithmetic behind the same operator surface, so polynomial code never needs to
-know which field it is working over.
+positive denominator). A GF(p) element is a plain int residue in [0, p):
+the field descriptor maps an int or a ``Fraction`` to its residue, and the
+polynomial layer reduces the results of int arithmetic mod p. So the parser,
+``Polynomial`` and the Groebner kernel all hold the same ints. Both fields
+reject any other value, a float above all, with ``TypeError``.
 """
 
 from __future__ import annotations
@@ -36,110 +38,18 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class GFElement:
-    """A residue in GF(p). Supports +, -, *, /, ** and is falsy when zero."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        self.value = value % p
-        self.p = p
-
-    def _coerce(self, other):
-        if isinstance(other, GFElement):
-            if other.p != self.p:
-                raise ValueError(f"mixed characteristics {self.p} and {other.p}")
-            return other
-        if isinstance(other, int):
-            return GFElement(other, self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GFElement(self.value + other.value, self.p)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GFElement(-self.value, self.p)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GFElement(self.value - other.value, self.p)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GFElement(other.value - self.value, self.p)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GFElement(self.value * other.value, self.p)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "GFElement":
-        if self.value == 0:
-            raise ZeroDivisionError(f"inverse of 0 in GF({self.p})")
-        return GFElement(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return GFElement(pow(self.value, n, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, GFElement):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.value}"
-
-
 class RationalField:
     """Descriptor for the field of rationals."""
 
     name = "Q"
     characteristic = 0
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def __call__(self, value) -> Fraction:
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"{type(value).__name__} is not a rational coefficient")
         return Fraction(value)
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
 
     def from_fraction(self, numer: int, denom: int = 1) -> Fraction:
         return Fraction(numer, denom)
@@ -158,6 +68,8 @@ class PrimeField:
     """Descriptor for GF(p), p prime, p < 2**31."""
 
     characteristic: int
+    zero = 0
+    one = 1
 
     def __init__(self, p: int):
         if not isinstance(p, int) or not 2 <= p < 2**31:
@@ -168,27 +80,17 @@ class PrimeField:
         self.characteristic = p
         self.name = f"GF({p})"
 
-    def __call__(self, value) -> GFElement:
-        if isinstance(value, GFElement):
-            if value.p != self.p:
-                raise ValueError(f"element of GF({value.p}) used in GF({self.p})")
-            return value
+    def __call__(self, value) -> int:
+        if isinstance(value, int):
+            return value % self.p
         if isinstance(value, Fraction):
             return self.from_fraction(value.numerator, value.denominator)
-        return GFElement(int(value), self.p)
+        raise TypeError(f"{type(value).__name__} is not a GF({self.p}) coefficient")
 
-    @property
-    def zero(self) -> GFElement:
-        return GFElement(0, self.p)
-
-    @property
-    def one(self) -> GFElement:
-        return GFElement(1, self.p)
-
-    def from_fraction(self, numer: int, denom: int = 1) -> GFElement:
+    def from_fraction(self, numer: int, denom: int = 1) -> int:
         if denom % self.p == 0:
             raise ZeroDivisionError(f"denominator {denom} vanishes in GF({self.p})")
-        return GFElement(numer, self.p) / GFElement(denom, self.p)
+        return numer * pow(denom, -1, self.p) % self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -10,8 +10,9 @@ canonically sorted before the run, so two runs on shuffled generator lists
 produce identical results.
 
 Inside a run, and inside ``GroebnerBasis.normal_form``, a polynomial is a
-list of (monomial, coefficient) terms with plain int coefficients: residues
-in [0, p) over GF(p), and over Q an integer multiple of the polynomial, so
+list of (monomial, coefficient) terms with plain int coefficients: over
+GF(p) the residues in [0, p) that ``Polynomial`` itself holds, read and
+returned as they are, and over Q an integer multiple of the polynomial, so
 no ``Fraction`` enters the run. Division is fraction-free over Q: reducers
 are primitive integer polynomials, and a reduction step multiplies the
 accumulator by a nonzero integer before it subtracts an integer multiple of
@@ -61,7 +62,6 @@ from operator import add, le, mul
 from typing import NamedTuple, Sequence
 
 from .errors import AmbientMismatch, LimitExceeded
-from .fields import GFElement
 from .polynomials import GREVLEX, PolyRing, Polynomial, elimination_order
 
 POWER_BOUND = 12
@@ -193,9 +193,8 @@ def _plain(f: Polynomial, packing: _Packing) -> tuple:
     units = packing.units
     if units and f.terms and max(map(max, f.terms)) >= packing.room:
         raise _Overflow
-    field = f.ring.field
-    if field.characteristic:
-        return 1, {sum(map(mul, m, units)): field(c).value for m, c in f.terms.items()}
+    if f.ring.field.characteristic:
+        return 1, {sum(map(mul, m, units)): c for m, c in f.terms.items()}
     d = math.lcm(*(c.denominator for c in f.terms.values()))
     return d, {
         sum(map(mul, m, units)): c.numerator * (d // c.denominator) for m, c in f.terms.items()
@@ -205,9 +204,8 @@ def _plain(f: Polynomial, packing: _Packing) -> tuple:
 def _polynomial(ring: PolyRing, terms, d: int, unpack) -> Polynomial:
     """The polynomial of plain int terms divided by d (1 over GF(p)), each
     packed monomial unpacked by ``unpack``."""
-    p = ring.field.characteristic
-    if p:
-        return Polynomial(ring, {unpack(m): GFElement(c, p) for m, c in terms})
+    if ring.field.characteristic:
+        return Polynomial(ring, {unpack(m): c for m, c in terms})
     return Polynomial(ring, {unpack(m): Fraction(c, d) for m, c in terms})
 
 

@@ -1,9 +1,12 @@
 """Sparse multivariate polynomials over an exact field.
 
 A monomial is a tuple of exponents, one slot per ring variable. A polynomial
-is a map monomial -> nonzero coefficient. Rings are lightweight descriptors
-(variable names + field); all values are immutable once built, which is what
-lets Groebner results be cached by value elsewhere.
+is a map monomial -> nonzero coefficient: a ``Fraction`` over Q, a plain int
+residue in [0, p) over GF(p). ``Polynomial.__init__`` is the one place a
+coefficient is normalised: it reduces each one mod p over GF(p) and drops
+zeros over both fields, so arithmetic only accumulates. Rings are lightweight
+descriptors (variable names + field); all values are immutable once built,
+which is what lets Groebner results be cached by value elsewhere.
 
 Monomial orders are key objects: ``order.key(mon)`` is a tuple that sorts
 ascending in the order, so ``max(terms, key=order.key)`` is the leading
@@ -22,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import AmbientMismatch, ParseError
-from .fields import GFElement, PrimeField, RationalField
+from .fields import PrimeField, RationalField
 
 Monomial = tuple
 Field = Union[RationalField, PrimeField]
@@ -181,8 +184,7 @@ class PolyRing:
         return self.constant(self.field.one)
 
     def constant(self, value) -> "Polynomial":
-        c = self.field(value)
-        return Polynomial(self, {(0,) * self.nvars: c} if c else {})
+        return Polynomial(self, {(0,) * self.nvars: self.field(value)})
 
     def var(self, i: int) -> "Polynomial":
         exp = [0] * self.nvars
@@ -191,7 +193,7 @@ class PolyRing:
 
     def monomial(self, mon: Monomial, coeff=None) -> "Polynomial":
         c = self.field.one if coeff is None else self.field(coeff)
-        return Polynomial(self, {tuple(mon): c} if c else {})
+        return Polynomial(self, {tuple(mon): c})
 
     def parse(self, text: str) -> "Polynomial":
         return _parse(text, self)
@@ -211,13 +213,21 @@ class PolyRing:
 
 
 class Polynomial:
-    """Immutable sparse polynomial. Arithmetic via operators."""
+    """Immutable sparse polynomial. Arithmetic via operators.
+
+    ``terms`` maps monomials to coefficients of the ring's field: over GF(p)
+    any ints, reduced here mod p; zero coefficients are dropped.
+    """
 
     __slots__ = ("ring", "terms", "_hash")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
-        self.terms = {m: c for m, c in terms.items() if c}
+        p = ring.field.characteristic
+        if p:
+            self.terms = {m: r for m, c in terms.items() if (r := c % p)}
+        else:
+            self.terms = {m: c for m, c in terms.items() if c}
         self._hash = None
 
     # -- basic predicates ---------------------------------------------------
@@ -247,7 +257,7 @@ class Polynomial:
                     f"operands in {self.ring!r} and {other.ring!r}"
                 )
             return other
-        if isinstance(other, (int, Fraction, GFElement)):
+        if isinstance(other, (int, Fraction)):
             return self.ring.constant(other)
         return NotImplemented
 
@@ -257,15 +267,7 @@ class Polynomial:
             return NotImplemented
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m)
-            if s is None:
-                terms[m] = c
-            else:
-                s = s + c
-                if s:
-                    terms[m] = s
-                else:
-                    del terms[m]
+            terms[m] = terms.get(m, 0) + c
         return Polynomial(self.ring, terms)
 
     __radd__ = __add__
@@ -286,10 +288,8 @@ class Polynomial:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GFElement)):
+        if isinstance(other, (int, Fraction)):
             c0 = self.ring.field(other)
-            if not c0:
-                return self.ring.zero
             return Polynomial(self.ring, {m: c * c0 for m, c in self.terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
@@ -298,16 +298,7 @@ class Polynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mon_mul(m1, m2)
-                c = c1 * c2
-                s = terms.get(m)
-                if s is None:
-                    terms[m] = c
-                else:
-                    s = s + c
-                    if s:
-                        terms[m] = s
-                    else:
-                        del terms[m]
+                terms[m] = terms.get(m, 0) + c1 * c2
         return Polynomial(self.ring, terms)
 
     __rmul__ = __mul__
@@ -335,8 +326,7 @@ class Polynomial:
         return self.terms[self.leading_monomial(order)]
 
     def monic(self, order) -> "Polynomial":
-        c = self.leading_coeff(order)
-        return self * (self.ring.field.one / c)
+        return self * self.ring.field.from_fraction(1, self.leading_coeff(order))
 
     # -- structure ----------------------------------------------------------
 
@@ -352,13 +342,13 @@ class Polynomial:
             for i, e in zip(index, m):
                 mon[i] += e
             mon = tuple(mon)
-            terms[mon] = terms[mon] + c if mon in terms else c
+            terms[mon] = terms.get(mon, 0) + c
         return Polynomial(target, terms)
 
     # -- identity -----------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GFElement)):
+        if isinstance(other, (int, Fraction)):
             other = self.ring.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -383,7 +373,7 @@ class Polynomial:
             mono = "*".join(
                 n if e == 1 else f"{n}^{e}" for n, e in zip(names, m) if e
             )
-            negative = isinstance(c, Fraction) and c < 0
+            negative = c < 0  # never over GF(p)
             mag = -c if negative else c
             if not mono:
                 body = str(mag)

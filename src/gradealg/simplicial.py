@@ -37,6 +37,10 @@ from .groebner import Ideal
 
 VERTEX_BOUND = 12
 PROFILE_CACHE_SIZE = 128
+# The most facet subsets ``minimal_nonfaces`` may visit, the sum of 2^|F|
+# over the facets F. Every complex on VERTEX_BOUND vertices fits: by the LYM
+# inequality the sum is at most C(12, 8) * 2^8 = 126,720.
+FACE_BUDGET = 2**20
 
 
 class SimplicialComplex:
@@ -46,10 +50,12 @@ class SimplicialComplex:
     frozensets of labels. The complex whose only face is the empty set is
     allowed (give no facets); the void complex with no faces at all is not
     representable. A label missing from every facet is an ambient vertex
-    whose singleton is a non-face.
+    whose singleton is a non-face. The minimal non-faces are computed
+    on the first call of ``minimal_nonfaces`` and kept; equality and the
+    hash read only the vertices and facets.
     """
 
-    __slots__ = ("vertices", "facets")
+    __slots__ = ("vertices", "facets", "_nonfaces")
 
     def __init__(self, vertices: Iterable[int], facets: Iterable[Iterable[int]]):
         vertices = tuple(sorted(set(vertices)))
@@ -67,6 +73,7 @@ class SimplicialComplex:
             maximal = [frozenset()]
         self.vertices = vertices
         self.facets = tuple(sorted(maximal, key=lambda f: (len(f), sorted(f))))
+        self._nonfaces = None
 
     @classmethod
     def from_ideal(cls, J: Ideal) -> "SimplicialComplex":
@@ -113,34 +120,11 @@ class SimplicialComplex:
 
     def minimal_nonfaces(self) -> list:
         """Minimal non-faces as sorted label tuples, by size, then
-        lexicographically.
-
-        Faces are bitmasks over vertex positions. A minimal non-face is a
-        face plus one vertex past its largest whose other one-smaller
-        subsets are faces too, so each is found once, from its face
-        without the largest vertex.
-        """
-        pos = {v: k for k, v in enumerate(self.vertices)}
-        faces = set()
-        for f in self.facets:
-            mask = sub = sum(1 << pos[v] for v in f)
-            while True:
-                faces.add(sub)
-                if not sub:
-                    break
-                sub = (sub - 1) & mask
-        found = []
-        for f in faces:
-            for k in range(f.bit_length(), len(self.vertices)):
-                s = f | (1 << k)
-                if s in faces:
-                    continue
-                rest = f  # the vertices whose removal from s is left to check
-                while rest and s ^ (rest & -rest) in faces:
-                    rest &= rest - 1
-                if not rest:
-                    found.append(tuple(v for i, v in enumerate(self.vertices) if s >> i & 1))
-        return sorted(found, key=lambda s: (len(s), s))
+        lexicographically (``_minimal_nonfaces``). Computed on the first
+        call and kept; callers only read the list."""
+        if self._nonfaces is None:
+            self._nonfaces = _minimal_nonfaces(self.vertices, self.facets)
+        return self._nonfaces
 
     def has_face(self, s: Iterable[int]) -> bool:
         s = frozenset(s)
@@ -175,6 +159,41 @@ class SimplicialComplex:
     def __repr__(self):
         body = ", ".join("{" + ",".join(map(str, sorted(f))) + "}" for f in self.facets)
         return f"SimplicialComplex[{body}]"
+
+
+def _minimal_nonfaces(vertices: tuple, facets: tuple) -> list:
+    """The minimal non-faces of the complex with these vertices and facets.
+
+    Faces are bitmasks over vertex positions. A minimal non-face is a face
+    plus one vertex past its largest whose other one-smaller subsets are
+    faces too, so each is found once, from its face without the largest
+    vertex. Facets with more than ``FACE_BUDGET`` subsets in all raise
+    ``LimitExceeded`` before any is visited.
+    """
+    visits = sum(1 << len(f) for f in facets)
+    if visits > FACE_BUDGET:
+        raise LimitExceeded(f"{visits} facet subsets exceed the face budget {FACE_BUDGET}")
+    pos = {v: k for k, v in enumerate(vertices)}
+    faces = set()
+    for f in facets:
+        mask = sub = sum(1 << pos[v] for v in f)
+        while True:
+            faces.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & mask
+    found = []
+    for f in faces:
+        for k in range(f.bit_length(), len(vertices)):
+            s = f | (1 << k)
+            if s in faces:
+                continue
+            rest = f  # the vertices whose removal from s is left to check
+            while rest and s ^ (rest & -rest) in faces:
+                rest &= rest - 1
+            if not rest:
+                found.append(tuple(v for i, v in enumerate(vertices) if s >> i & 1))
+    return sorted(found, key=lambda s: (len(s), s))
 
 
 def _rank(rows: Iterable[dict], p: int) -> int:

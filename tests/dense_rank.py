@@ -1,8 +1,10 @@
 """Dense Gaussian elimination over an exact field.
 
 The oracle for the sparse boundary rank in ``gradealg.simplicial``: row
-lists of field elements (``Fraction`` or ``GFElement``), reduced to
-echelon form column by column with field division.
+lists of field elements (``Fraction`` over Q, int residues over GF(p)),
+reduced to echelon form column by column. Each pivot is inverted through
+``field.from_fraction`` and each new entry reduced through ``field(...)``,
+so the route shares no elimination code with ``simplicial._rank``.
 """
 
 
@@ -18,12 +20,12 @@ def field_rank(rows: list, field) -> int:
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.one / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
+        inv = field.from_fraction(1, rows[rank][col])
+        rows[rank] = [field(x * inv) for x in rows[rank]]
         for r in range(len(rows)):
             if r != rank and rows[r][col]:
                 factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+                rows[r] = [field(a - factor * b) for a, b in zip(rows[r], rows[rank])]
         rank += 1
         if rank == len(rows):
             break

@@ -103,6 +103,36 @@ def test_vertex_limit_is_internal_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command", ["check-iso", "presentation", "hilbert", "cohomology", "gencm", "dim"]
+)
+def test_big_facet_exceeds_the_face_budget(capsys, command):
+    # one facet on 30 vertices: 2^30 subsets, refused before any is visited
+    start = time.perf_counter()
+    assert main([command, "--input", str(DATA / "bigfacet.json")]) == 2
+    assert time.perf_counter() - start < 1
+    assert "exceed the face budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["dim"], ["cohomology"], ["cohomology", "--module", "R"]])
+def test_facets_spec_finds_its_minimal_nonfaces_once(monkeypatch, argv):
+    from gradealg import simplicial
+
+    simplicial._profile.cache_clear()
+    enumerated = []
+    original = simplicial._minimal_nonfaces
+
+    def recording(vertices, facets):
+        enumerated.append((vertices, frozenset(facets)))
+        return original(vertices, facets)
+
+    monkeypatch.setattr(simplicial, "_minimal_nonfaces", recording)
+    assert main([*argv, "--input", str(DATA / "path.json")]) == 0
+    # the spec's complex first, for J; no complex a second time
+    assert enumerated[0][0] == (0, 1, 2)
+    assert len(set(enumerated)) == len(enumerated)
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--input", "x.json"])

@@ -1,6 +1,7 @@
 """Tests for simplicial complexes, reduced homology, and monomial cohomology."""
 
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -17,6 +18,7 @@ from gradealg import (
     sr_invariants,
     window_table,
 )
+from gradealg.simplicial import FACE_BUDGET, VERTEX_BOUND
 
 # Minimal 6-vertex triangulation of the real projective plane. Ten
 # triangles, all fifteen edges of K6, Euler characteristic 1.
@@ -116,6 +118,23 @@ def test_from_ideal_vertex_bound():
     R = PolyRing([f"x{i}" for i in range(1, 14)], QQ)
     with pytest.raises(LimitExceeded):
         SimplicialComplex.from_ideal(Ideal.parse(R, ["x1*x2"]))
+
+
+def test_face_budget_admits_every_complex_within_the_vertex_bound():
+    # the antichain with the largest sum of 2^|F| on 12 vertices
+    widest = SimplicialComplex(range(VERTEX_BOUND), combinations(range(VERTEX_BOUND), 8))
+    assert sum(1 << len(f) for f in widest.facets) == 126720 <= FACE_BUDGET
+    assert widest.minimal_nonfaces() == list(combinations(range(VERTEX_BOUND), 9))
+    # one facet on 21 vertices has 2^21 subsets: rejected before any is visited
+    with pytest.raises(LimitExceeded, match="face budget"):
+        SimplicialComplex(range(21), [range(21)]).minimal_nonfaces()
+
+
+def test_minimal_nonfaces_are_kept_outside_equality():
+    path = SimplicialComplex(range(3), [(0, 2), (1, 2)])
+    fresh = SimplicialComplex(range(3), [(0, 2), (1, 2)])
+    assert path.minimal_nonfaces() is path.minimal_nonfaces()
+    assert path == fresh and hash(path) == hash(fresh)
 
 
 def test_link_and_join():
