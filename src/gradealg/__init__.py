@@ -40,6 +40,7 @@ from .polynomials import (
     BlockOrder,
     PolyRing,
     Polynomial,
+    WeightOrder,
     elimination_order,
 )
 from .rees_cohomology import (

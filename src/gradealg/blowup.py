@@ -1,11 +1,22 @@
 """Presentations of Rees algebras and associated graded rings.
 
-For a homogeneous ideal I = (f_1..f_m) of A = S/J the Rees algebra A[It] is
-presented on S-variables plus one new variable Y_i per generator. Its
-defining ideal is computed by adjoining Y_i - f_i*t and eliminating t with a
-block order. The associated graded ring is the Rees presentation plus the
-ideal (f_1..f_m) itself. Defining ideals are stored as reduced grevlex bases,
-so generator lists are canonical and absorbed relations disappear.
+For a homogeneous ideal I = (f_1..f_m) of A = S/J both rings are presented
+on the S-variables X plus one new variable Y_i of degree deg f_i per
+generator. Defining ideals are stored as reduced grevlex bases, so
+generator lists are canonical and absorbed relations disappear.
+
+The Rees algebra A[It]: its defining ideal is computed by adjoining
+Y_i - f_i*t and eliminating t with a block order.
+
+The associated graded ring G needs no elimination. A = k[X, Y]/J' with
+J' = J + (Y_i - f_i), and I becomes (Y). For the weight v = 2 on each x and
+2*deg f_i - 1 on Y_i, the terms of largest weight of a homogeneous element
+are its terms of lowest Y-degree, so G = k[X, Y]/in_v(J'); and the initial
+forms of the reduced basis of J' for v then grevlex (``WeightOrder``) are the
+reduced grevlex basis of in_v(J'). A generator f_i = c*x_b on a base variable
+not substituted yet is substituted away first: x_b - Y_i/c leads under v and
+has initial form x_b. The ``hilbert`` table counts the standard monomials of
+the same basis. See docs/math-notes.md §11.
 
 The bigrading on the presentation ring: an S-variable has bidegree
 (internal degree 1, weight 0); Y_i has (deg f_i, 1). Weight counts the adic
@@ -29,7 +40,7 @@ from .groebner import (
     hilbert_function,
     ideal_member,
 )
-from .polynomials import PolyRing, Polynomial
+from .polynomials import GREVLEX, PolyRing, Polynomial, WeightOrder
 
 LEVEL_BOUND = 8
 DEGREE_BOUND = 8
@@ -130,23 +141,65 @@ def _rees_presentation(J: Ideal, f: tuple) -> ReesPresentation:
 def assoc_graded_presentation(J: Ideal, f: Sequence[Polynomial]) -> ReesPresentation:
     """Defining ideal of the associated graded ring of I = (f) on S/J."""
     f = _validated_input(J, f)
-    return _assoc_graded_from_rees(_rees_presentation(J, f))
+    return _assoc_graded(J, f)
 
 
-def _assoc_graded_from_rees(rees: ReesPresentation) -> ReesPresentation:
-    """The associated graded presentation of the ideal a Rees presentation
-    was built for: its defining ideal plus the generators themselves."""
-    xy = rees.ring
-    gens = list(rees.defining.generators) + [g.rename_into(xy) for g in rees.f]
-    defining = Ideal(xy, list(groebner_basis(Ideal(xy, gens))))
+def _weighted_basis(J: Ideal, f: tuple) -> tuple:
+    """``(ring, y_names, linear, basis)`` for J' = J + (Y_i - f_i) (module docstring).
+
+    ``linear`` holds the base variables x_b substituted away, in order,
+    and ``basis`` is the reduced ``WeightOrder`` basis of the rest of J',
+    which does not involve them; with the x_b - Y_i/c the two make a
+    Groebner basis of J' for that order.
+    """
+    S = J.ring
+    n = S.nvars
+    ys = _y_variables(S, len(f))
+    xy = PolyRing(S.variables + ys, S.field)
+    images, kept = {}, []  # base variable index -> (Y index, 1/c); the other f_i
+    for i, g in enumerate(f):
+        (m, c), *more = g.terms.items()
+        if not more and sum(m) == 1 and m.index(1) not in images:
+            images[m.index(1)] = (n + i, S.field.from_fraction(1, c))
+        else:
+            kept.append(i)
+
+    def substituted(g: Polynomial) -> Polynomial:
+        terms = {}
+        for m, c in g.terms.items():
+            mon = list(m) + [0] * len(f)
+            for b, (y, s) in images.items():
+                if m[b]:
+                    mon[b], mon[y] = 0, m[b]
+                    c *= s ** m[b]
+            terms[tuple(mon)] = c
+        return Polynomial(xy, terms)
+
+    rest = [substituted(g) for g in J.generators]
+    rest += [xy.var(n + i) - substituted(f[i]) for i in kept]
+    order = WeightOrder([2] * n + [2 * g.total_degree() - 1 for g in f])
+    return xy, ys, [xy.var(b) for b in sorted(images)], groebner_basis(Ideal(xy, rest), order)
+
+
+def _assoc_graded(J: Ideal, f: tuple) -> ReesPresentation:
+    """``assoc_graded_presentation`` on generators already validated against J."""
+    xy, ys, linear, basis = _weighted_basis(J, f)
+    weight = basis.order.weight
+    # x_b and the initial forms, each led by its weighted leading monomial
+    # under grevlex too: the reduced grevlex basis, largest first
+    forms = [(next(iter(x.terms)), x) for x in linear]
+    for lm, g in zip(basis.lms, basis):
+        top = weight(lm)
+        forms.append((lm, Polynomial(xy, {m: c for m, c in g.terms.items() if weight(m) == top})))
+    forms.sort(key=lambda form: GREVLEX.key(form[0]), reverse=True)
     return ReesPresentation(
         ring=xy,
-        base_ring=rees.base_ring,
-        x_names=rees.x_names,
-        y_names=rees.y_names,
-        y_degrees=rees.y_degrees,
-        f=rees.f,
-        defining=defining,
+        base_ring=J.ring,
+        x_names=J.ring.variables,
+        y_names=ys,
+        y_degrees=tuple(g.total_degree() for g in f),
+        f=f,
+        defining=Ideal(xy, [g for _, g in forms]),
         target="assoc_graded",
     )
 
@@ -180,8 +233,9 @@ def bigraded_hilbert(
 ) -> BigradedHilbert:
     """dim of (I^n/I^(n+1))_d for n <= level_bound, d <= degree_bound.
 
-    Counted upstairs, on the associated graded presentation, whose Y-names
-    avoid the base variables as every presentation's do. Before any
+    Counted upstairs, as the standard monomials of the weighted basis of
+    J' that the associated graded presentation is read off, whose leading
+    monomials generate the initial ideal of G's defining ideal. Before any
     Groebner basis past J's own, the standard monomials of in(J) below
     degree (level_bound + 1) * min deg f are counted under the same budget:
     I^(level_bound+1) has nothing there, so the window holds all of A in
@@ -192,8 +246,10 @@ def bigraded_hilbert(
     _check_bounds(level_bound, degree_bound)
     low = min(g.total_degree() for g in f)
     hilbert_function(J, min(degree_bound, (level_bound + 1) * low - 1))
-    pres = _assoc_graded_from_rees(_rees_presentation(J, f))
-    return presentation_bigraded_hilbert(pres, level_bound, degree_bound)
+    _, _, linear, basis = _weighted_basis(J, f)
+    lms = [next(iter(x.terms)) for x in linear] + list(basis.lms)
+    degrees = tuple(g.total_degree() for g in f)
+    return _table(lms, J.ring.nvars, degrees, level_bound, degree_bound)
 
 
 def presentation_bigraded_hilbert(
@@ -208,11 +264,16 @@ def presentation_bigraded_hilbert(
     is the table of ``bigraded_hilbert``.
     """
     _check_bounds(level_bound, degree_bound)
-    n_x, n_y = len(pres.x_names), len(pres.y_names)
+    lms = groebner_basis(pres.defining).leading_monomials()
+    return _table(lms, len(pres.x_names), pres.y_degrees, level_bound, degree_bound)
+
+
+def _table(lms, n_x: int, y_degrees: tuple, level_bound: int, degree_bound: int) -> BigradedHilbert:
+    """The standard monomials of ``lms`` in k[X, Y], by (Y-degree, degree)."""
     dims = count_standard_monomials(
-        groebner_basis(pres.defining).leading_monomials(),
-        [0] * n_x + [1] * n_y,
-        [1] * n_x + list(pres.y_degrees),
+        lms,
+        [0] * n_x + [1] * len(y_degrees),
+        [1] * n_x + list(y_degrees),
         level_bound,
         degree_bound,
     )

@@ -44,7 +44,7 @@ from . import schemas
 from .blowup import (
     DEGREE_BOUND,
     LEVEL_BOUND,
-    _assoc_graded_from_rees,
+    _assoc_graded,
     bigraded_hilbert,
     rees_presentation,
 )
@@ -201,7 +201,7 @@ def _cmd_check_iso(problem: _Problem, spec: dict, args) -> tuple:
 
 def _cmd_presentation(problem: _Problem, spec: dict, args) -> tuple:
     rees = rees_presentation(problem.J, problem.i_polys)
-    assoc = _assoc_graded_from_rees(rees)
+    assoc = _assoc_graded(problem.J, rees.f)
     report = {
         "rees": _presentation_block(rees),
         "assoc_graded": _presentation_block(assoc),

@@ -29,7 +29,10 @@ ideal's basis holds, lies in both parts.
 A positive decision can be certified: the associated graded presentation on
 Y-variables (one per element of B) must equal (X_B) + JB-renamed + JC, where
 the renaming sends the B-variable x_i to its Y-partner. ``verify_iso_witness``
-checks that ideal equality exactly.
+checks that ideal equality exactly, by normal forms. It reads G off the
+weighted basis of J with B renamed to the Y-variables (``blowup``,
+docs/math-notes.md §11), a different basis in a different order from the
+grevlex basis of J that the decision reads.
 """
 
 from __future__ import annotations
@@ -152,7 +155,7 @@ def _verify_iso_witness(J: Ideal, witness: SplitWitness) -> tuple:
     f = tuple(S.var(i) for i in witness.b)
     # decide_iso has validated I; a variable of B may lie in J, which the
     # validating assoc_graded_presentation would refuse
-    pres = blowup._assoc_graded_from_rees(blowup._rees_presentation(J, f))
+    pres = blowup._assoc_graded(J, f)
     xy = pres.ring
     expected = (
         [xy.var(xy.var_index(S.variables[i])) for i in witness.b]

@@ -36,8 +36,10 @@ Reduction work is counted deterministically; one Buchberger run, or one
 normal form, that exceeds ``MAX_REDUCTION_WORK`` raises ``LimitExceeded``.
 
 Reduced bases are cached per (generator set, order) in a bounded LRU cache
-of ``GB_CACHE_SIZE`` entries. What the cache holds is immutable, except that
-a basis keeps its integer reducers once a normal form has needed them.
+of ``GB_CACHE_SIZE`` entries. A cached basis keeps, packed, the integer
+reducers its Buchberger run ended with, so a normal form against it packs
+only its input; a ``GroebnerBasis`` built from a plain list packs its
+reducers on its first normal form. Nothing else in the cache changes.
 
 Hilbert tables and ``krull_dim`` are read off the numerator of the Hilbert
 series of in(I) (of its radical for ``krull_dim``), graded by a (weight,
@@ -128,13 +130,14 @@ class _Packing:
     ``width``-bit field at bit ``width * i``, whose top bit is a guard that
     every exponent leaves clear. The bits above hold the fields of
     ``order.desc_key``, the first the most significant. Each field of the
-    key is plus or minus a sum of exponents, so packing is linear:
-    ``pack(m)`` is the dot product of m with the packed unit vectors, a
-    product of two monomials is the sum of their ints and a quotient the
+    key is a sum of exponents times integer coefficients, so packing is
+    linear: ``pack(m)`` is the dot product of m with the packed unit vectors,
+    a product of two monomials is the sum of their ints and a quotient the
     difference. A key field below the first gets the bits of its range over
-    exponents below the guard, so ints compare as the keys do: the smaller
-    int is the larger monomial. A monomial divides another iff no guard bit
-    is lost in ``(m | guard) - lm``. See math-notes §8, "Packed monomials".
+    exponents below the guard, which its coefficients' absolute sum sets,
+    so ints compare as the keys do: the smaller int is the larger monomial.
+    A monomial divides another iff no guard bit is lost in
+    ``(m | guard) - lm``. See math-notes §8, "Packed monomials".
 
     Input exponents stay below ``room``, a quarter of the guard, which
     leaves room for the growth of a typical run.
@@ -143,25 +146,18 @@ class _Packing:
     __slots__ = ("width", "guard", "room", "units", "_low", "_nbytes")
 
     def __init__(self, order, nvars: int, width: int):
-        # a key field lies in [-nvars * top, nvars * top], top < 2^(width-1)
-        # the largest exponent below the guard: ``bits`` bits keep it apart
-        bits = width + nvars.bit_length()
-        # the packed unit vectors' key parts, from one key: linearity makes
-        # the key of (X^0, ..., X^(n-1)), packed, the sum of their X^i, and
-        # X = 2^step exceeds twice each of them, so they are its signed
-        # base-X digits
-        step = bits * len(order.desc_key((0,) * nvars)) + 1
-        packed = 0
-        for f in order.desc_key(tuple(1 << step * i for i in range(nvars))):
-            packed = (packed << bits) + f
+        keys = [order.desc_key(tuple(int(i == j) for j in range(nvars))) for i in range(nvars)]
+        # a key field below the first lies in [-span * top, span * top] for
+        # exponents up to top < 2^(width-1): ``bits`` bits keep it apart
+        span = max((sum(abs(f) for f in fields) for fields in list(zip(*keys))[1:]), default=1)
+        bits = width + span.bit_length()
         low = nvars * width
         units = []
-        for i in range(nvars):
-            digit = packed & ((1 << step) - 1)
-            if digit >> (step - 1):
-                digit -= 1 << step
-            packed = (packed - digit) >> step
-            units.append((digit << low) + (1 << width * i))
+        for i, key in enumerate(keys):
+            packed = 0
+            for f in key:
+                packed = (packed << bits) + f
+            units.append((packed << low) + (1 << width * i))
         self.width = width
         self.units = units
         self._low = (1 << low) - 1
@@ -332,6 +328,13 @@ class _Reducer:
         return rem, f
 
 
+class _ReducedBasis(list):
+    """The basis ``buchberger`` returns, with ``reducers``, its elements
+    packed as ``GroebnerBasis`` keeps them: ``(packing, (lms, lcs, tails))``."""
+
+    __slots__ = ("reducers",)
+
+
 def buchberger(generators: Sequence[Polynomial], order=GREVLEX) -> list:
     """Reduced Groebner basis of the given generators, as a sorted list."""
     gens = [g for g in generators if g]
@@ -436,12 +439,18 @@ def _buchberger(ring: PolyRing, gens: list, packing: _Packing) -> list:
             keep.append(i)
     # the reducers form a Groebner basis and a remainder modulo a basis is
     # unique, so reducing each kept tail once gives the reduced basis; it is
-    # made monic here, the only division over Q
-    basis = []
+    # made monic here, the only division over Q. Its elements stay packed as
+    # the reducers of its normal forms
+    basis, reducers = _ReducedBasis(), ([], [], [])
     for i in reversed(keep):
         rem, scale = red.reduce(dict(tails[i]))
         d = scale * lcs[i]
-        basis.append(_polynomial(ring, [(lms[i], d)] + rem, d, unpack))
+        terms = [(lms[i], d)] + rem
+        basis.append(_polynomial(ring, terms, d, unpack))
+        (lm, lc), *tail = _normalized(terms, p)
+        for part, value in zip(reducers, (lm, lc, tail)):
+            part.append(value)
+    basis.reducers = (packing, reducers)
     return basis
 
 
@@ -450,12 +459,13 @@ class GroebnerBasis:
 
     __slots__ = ("ring", "order", "polys", "lms", "_reducers")
 
-    def __init__(self, ring: PolyRing, order, polys: Sequence[Polynomial]):
+    def __init__(self, ring: PolyRing, order, polys: Sequence[Polynomial], reducers=None):
         self.ring = ring
         self.order = order
         self.polys = tuple(polys)
         self.lms = tuple(g.leading_monomial(order) for g in self.polys)
-        self._reducers = None  # (packing, (lms, lcs, tails)) once a normal form needs them
+        # (packing, (lms, lcs, tails)): ``buchberger``'s, or made once a normal form needs them
+        self._reducers = reducers
 
     def _reducer(self, width: int) -> _Reducer:
         """A fresh ``_Reducer`` over the basis, packed at least ``width`` wide."""
@@ -501,7 +511,8 @@ class GroebnerBasis:
 
 @lru_cache(maxsize=GB_CACHE_SIZE)
 def _cached_gb(ideal: Ideal, order) -> GroebnerBasis:
-    return GroebnerBasis(ideal.ring, order, buchberger(ideal.generators, order))
+    basis = buchberger(ideal.generators, order)
+    return GroebnerBasis(ideal.ring, order, basis, getattr(basis, "reducers", None))
 
 
 def groebner_basis(ideal: Ideal, order=GREVLEX) -> GroebnerBasis:

@@ -3,8 +3,10 @@
 A monomial is a tuple of exponents, one slot per ring variable. A polynomial
 is a map monomial -> nonzero coefficient: a ``Fraction`` over Q, a plain int
 residue in [0, p) over GF(p). ``Polynomial.__init__`` is the one place a
-coefficient is normalised: it reduces each one mod p over GF(p) and drops
-zeros over both fields, so arithmetic only accumulates. Rings are lightweight
+coefficient is normalised: it reduces each one mod p over GF(p), maps a
+``Fraction`` there to its residue, refuses any type but ``int`` and
+``Fraction`` with the field's ``TypeError`` and drops zeros over both
+fields, so arithmetic only accumulates. Rings are lightweight
 descriptors (variable names + field); all values are immutable once built,
 which is what lets Groebner results be cached by value elsewhere.
 
@@ -13,15 +15,17 @@ ascending in the order, so ``max(terms, key=order.key)`` is the leading
 monomial; ``order.desc_key(mon)`` is a flat tuple of ints that sorts
 descending, the key's every entry negated, so a min-heap of them pops the
 largest monomial first. Each entry of ``desc_key`` is plus or minus a sum of
-exponents, so ``desc_key`` is linear in the monomial: the Groebner kernel
-packs it, from the keys of the unit vectors, into one int per monomial.
-grevlex, lex and block orders (for elimination) are provided.
+exponents, or minus a positive weighted sum of them for ``WeightOrder``, so
+``desc_key`` is linear in the monomial: the Groebner kernel packs it, from
+the keys of the unit vectors, into one int per monomial. grevlex, lex, block
+orders (for elimination) and weight-then-grevlex orders are provided.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import AmbientMismatch, ParseError
@@ -140,6 +144,41 @@ class BlockOrder:
         return f"block{self.blocks}"
 
 
+class WeightOrder:
+    """A positive integer weight per variable first, grevlex to break ties.
+
+    The monomial of the larger weighted degree is the larger one. It refines
+    the weight as an order must for the initial forms of its Groebner bases
+    to generate the weight's initial ideal (docs/math-notes.md §11).
+    """
+
+    kind = "weight"
+
+    def __init__(self, weights: Sequence[int]):
+        weights = tuple(weights)
+        if not all(isinstance(w, int) and w > 0 for w in weights):
+            raise ValueError("weights must be positive integers")
+        self.weights = weights
+
+    def weight(self, mon: Monomial) -> int:
+        return sum(map(mul, self.weights, mon))
+
+    def key(self, mon: Monomial):
+        return (self.weight(mon), sum(mon), tuple(-e for e in reversed(mon)))
+
+    def desc_key(self, mon: Monomial):
+        return (-self.weight(mon), -sum(mon)) + mon[::-1]
+
+    def __eq__(self, other):
+        return isinstance(other, WeightOrder) and other.weights == self.weights
+
+    def __hash__(self):
+        return hash(("weight", self.weights))
+
+    def __repr__(self):
+        return f"weight{self.weights}"
+
+
 GREVLEX = GrevlexOrder()
 LEX = LexOrder()
 
@@ -212,18 +251,28 @@ class PolyRing:
         return f"{self.field.name}[{', '.join(self.variables)}]"
 
 
+_RESIDUE = frozenset((int,))
+_RATIONAL = frozenset((int, Fraction))
+
+
 class Polynomial:
     """Immutable sparse polynomial. Arithmetic via operators.
 
-    ``terms`` maps monomials to coefficients of the ring's field: over GF(p)
-    any ints, reduced here mod p; zero coefficients are dropped.
+    ``terms`` maps monomials to coefficients of the ring's field: ints or
+    ``Fraction``s, each mapped as the field maps it (over GF(p) an int is
+    reduced mod p, a ``Fraction`` sent to its residue); zero coefficients
+    are dropped. Any other coefficient raises the field's ``TypeError``.
     """
 
     __slots__ = ("ring", "terms", "_hash")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
-        p = ring.field.characteristic
+        field = ring.field
+        p = field.characteristic
+        # one set of exact types: the kernel builds every basis through here
+        if not (_RESIDUE if p else _RATIONAL).issuperset(map(type, terms.values())):
+            terms = {m: field(c) for m, c in terms.items()}
         if p:
             self.terms = {m: r for m, c in terms.items() if (r := c % p)}
         else:

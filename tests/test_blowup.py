@@ -1,4 +1,5 @@
-"""Rees and associated graded presentations via elimination."""
+"""Rees presentations via elimination, associated graded presentations
+and hilbert tables via one weighted basis."""
 
 import random
 import time
@@ -19,6 +20,7 @@ from gradealg.polynomials import GREVLEX, PolyRing, Polynomial, elimination_orde
 from tests import slow_groebner
 from tests.downstairs_hilbert import downstairs_bigraded_hilbert
 from tests.graded_relation import is_graded_relation
+from tests.rees_oracle import assoc_graded_from_rees, slow_assoc_graded
 
 
 def setup(names, j_texts, i_texts, field=QQ):
@@ -281,7 +283,7 @@ def test_budget_stops_before_the_presentation(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("presentation built past the budget")
 
-    monkeypatch.setattr(blowup, "_rees_presentation", unreachable)
+    monkeypatch.setattr(blowup, "_weighted_basis", unreachable)
     with pytest.raises(LimitExceeded):
         bigraded_hilbert(J, f, 16, 20)
 
@@ -333,3 +335,61 @@ def test_rees_basis_is_the_reduced_grevlex_basis_of_the_oracle(field):
         expected = slow_groebner.buchberger(kept, GREVLEX)
         assert list(map(str, pres.defining.generators)) == list(map(str, expected)), (J, f)
         checked += 1
+
+
+def _draw_generators(R, rng, kind):
+    """Generators of I for one draw: variables in any order, at times one
+    scaled or one repeated; forms of one degree; or forms of two degrees."""
+    if kind == "variables":
+        f = [R.var(i) for i in rng.sample(range(R.nvars), rng.randrange(1, R.nvars + 1))]
+        if R.field.characteristic != 2 and rng.random() < 0.3:
+            f[0] = f[0] * 2
+        if rng.random() < 0.3:
+            f.append(rng.choice(f))
+        return f
+    if kind == "equigenerated":
+        degree = rng.randrange(1, 3)
+        return [_random_homogeneous(R, rng, degree) for _ in range(rng.randrange(1, 3))]
+    return [_random_homogeneous(R, rng, d) for d in rng.sample([1, 2, 3], 2)]
+
+
+# the edge cases: a scaled variable, a repeated generator, a variable of B
+# that lies in J (as the check-iso certificate builds G under
+# --allow-linear), and one of C that does
+_EDGE_CASES = [
+    ("x1,x2,x3", ["x1^2 - x2*x3", "x2^3"], ["2*x1", "x3"]),
+    ("x1,x2,x3", ["x1*x2 - x3^2"], ["x1", "x1", "x2"]),
+    ("x1,x2", ["x2"], ["x1", "x2"]),
+    ("x1,x2,x3", ["x3", "x2^2"], ["x1"]),
+]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)], ids=["Q", "GF2", "GF32003"])
+def test_weighted_route_matches_the_rees_oracles(field):
+    # G's presentation read off the weighted basis equals the Rees route's,
+    # on the production engine and on the slow one, and so do the hilbert
+    # tables counted on the two bases (math-notes §11)
+    rng = random.Random(2311)
+    # 2*x1 is 0 over GF(2), which no command takes
+    draws = [(J, f) for J, f in (setup(*case, field)[1:] for case in _EDGE_CASES) if all(f)]
+    for kind in ("variables", "equigenerated", "mixed") * 12:
+        R = PolyRing(tuple(f"x{i}" for i in range(1, rng.randrange(3, 5))), field)
+        j_gens = [_random_homogeneous(R, rng, rng.randrange(2, 4)) for _ in range(rng.randrange(3))]
+        draws.append((Ideal(R, j_gens), _draw_generators(R, rng, kind)))
+    for J, f in draws:
+        f = tuple(f)
+        pres = blowup._assoc_graded(J, f)
+        oracle = assoc_graded_from_rees(blowup._rees_presentation(J, f))
+        assert pres == oracle and gens(pres) == gens(oracle), (J, f)
+        assert gens(pres) == list(map(str, slow_assoc_graded(J, f))), (J, f)
+        if any(ideal_member(g, J) for g in f):
+            continue  # the hilbert command refuses a generator that is zero in A
+        level_bound, degree_bound = rng.randrange(1, 4), rng.randrange(2, 6)
+        counted = count_standard_monomials(
+            [g.leading_monomial(GREVLEX) for g in oracle.defining.generators],
+            [0] * J.ring.nvars + [1] * len(f),
+            [1] * J.ring.nvars + list(oracle.y_degrees),
+            level_bound,
+            degree_bound,
+        )
+        assert bigraded_hilbert(J, f, level_bound, degree_bound).dims == counted, (J, f)

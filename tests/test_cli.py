@@ -486,7 +486,22 @@ def test_presentation_validates_its_input_once(monkeypatch):
     assert [str(g) for g in calls] == ["x1", "x2"]
 
 
-def test_check_iso_builds_one_presentation(monkeypatch):
+@pytest.mark.parametrize(
+    "command, name", [("check-iso", "split.json"), ("hilbert", "twopoints.json")]
+)
+def test_check_iso_and_hilbert_build_no_rees_presentation(monkeypatch, command, name):
+    # G, its hilbert table and the check-iso certificate are read off one
+    # weighted basis; only the presentation command eliminates t
+    from gradealg import blowup
+
+    def refuse(J, f):
+        raise AssertionError("a Rees presentation was built")
+
+    monkeypatch.setattr(blowup, "_rees_presentation", refuse)
+    assert main([command, "--input", str(DATA / name)]) == 0
+
+
+def test_presentation_builds_one_rees_presentation(monkeypatch):
     from gradealg import blowup
 
     calls = []
@@ -497,7 +512,7 @@ def test_check_iso_builds_one_presentation(monkeypatch):
         return original(J, f)
 
     monkeypatch.setattr(blowup, "_rees_presentation", counting)
-    assert main(["check-iso", "--input", str(DATA / "split.json")]) == 0
+    assert main(["presentation", "--input", str(DATA / "twopoints.json")]) == 0
     assert len(calls) == 1
 
 

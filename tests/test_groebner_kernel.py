@@ -3,6 +3,8 @@
 
 import random
 from fractions import Fraction
+from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,19 +13,20 @@ from hypothesis import strategies as st
 from gradealg import groebner
 from gradealg.errors import LimitExceeded
 from gradealg.fields import GF, QQ
-from gradealg.groebner import GroebnerBasis, buchberger
+from gradealg.groebner import GroebnerBasis, buchberger, groebner_basis
 from gradealg.polynomials import (
     GREVLEX,
     LEX,
     BlockOrder,
     Polynomial,
     PolyRing,
+    WeightOrder,
     elimination_order,
 )
 from tests import slow_groebner
 
 FIELDS = (QQ, GF(2), GF(32003))
-ORDERS = (GREVLEX, LEX, elimination_order([1], 3))
+ORDERS = (GREVLEX, LEX, elimination_order([1], 3), WeightOrder((7, 300, 2)))
 
 
 def _poly(ring, terms) -> Polynomial:
@@ -262,20 +265,22 @@ def _counted_reducers(monkeypatch) -> list:
 # wider (lex ``x - y^20``, ``y - z^30`` reaches z^600; lex ``x^10`` reduces to
 # a y-power past 2^63; in the last system an S-polynomial reaches past 127
 # under the block order). Each row gives the reduction work of the run under
-# grevlex, lex and the block order as the tuple-monomial kernel counted it.
+# grevlex, lex and the block order as the tuple-monomial kernel counted it,
+# and under the weight order as a run that starts at width 256 counts it.
 _WIDE = [
-    (["x^1099511627776 - y"], (0, 0, 0)),
-    (["x^2147483648*y - z^3"], (0, 0, 0)),
-    (["x^1099511627776 - y", "x^2147483648 - z^3"], (511, 511, 512)),
-    (["x^2147483648*y - z^3", "y^2 - z"], (1, 1, 2)),
-    (["x - y^20", "y - z^30"], (0, 20, 19)),
-    (["x^2 - y^2305843009213693951", "x^10 - z"], (0, 4, 0)),
-    (["x^1180591620717411303424 - y*z", "y^3 - z"], (0, 0, 3)),
-    (["-x^2*y^16 - x^17", "x^17*z^6 + x^18", "-y^28*z^31 + x^26*y^13"], (12, 109, 78)),
+    (["x^1099511627776 - y"], (0, 0, 0, 0)),
+    (["x^2147483648*y - z^3"], (0, 0, 0, 0)),
+    (["x^1099511627776 - y", "x^2147483648 - z^3"], (511, 511, 512, 511)),
+    (["x^2147483648*y - z^3", "y^2 - z"], (1, 1, 2, 1)),
+    (["x - y^20", "y - z^30"], (0, 20, 19, 19)),
+    (["x^2 - y^2305843009213693951", "x^10 - z"], (0, 4, 0, 0)),
+    (["x^1180591620717411303424 - y*z", "y^3 - z"], (0, 0, 3, 0)),
+    (["-x^2*y^16 - x^17", "x^17*z^6 + x^18", "-y^28*z^31 + x^26*y^13"], (12, 109, 78, 70)),
 ]
+_WIDE_ORDERS = [GREVLEX, LEX, elimination_order([1], 3), WeightOrder((7, 300, 2))]
 
 
-@pytest.mark.parametrize("column, order", enumerate([GREVLEX, LEX, elimination_order([1], 3)]), ids=repr)
+@pytest.mark.parametrize("column, order", enumerate(_WIDE_ORDERS), ids=repr)
 @pytest.mark.parametrize("texts, works", _WIDE, ids=[", ".join(t) for t, _ in _WIDE])
 def test_exponents_past_the_field_width(monkeypatch, column, order, texts, works):
     # a restart takes the steps of the tuple kernel's run: with the budget at
@@ -295,6 +300,87 @@ def test_exponents_past_the_field_width(monkeypatch, column, order, texts, works
     for f in gens + members + [ring.parse("x^10*y^3 + z^5")]:
         assert frozen.normal_form(f) == slow_groebner.normal_form(f, basis, order)
     assert not any(frozen.normal_form(f) for f in members)
+
+
+def test_weight_order_starts_wide_with_the_same_work(monkeypatch):
+    # the weight order's column of ``_WIDE``: a run wide enough never to
+    # restart does that work too
+    reducers = _counted_reducers(monkeypatch)
+    ring = PolyRing(("x", "y", "z"), QQ)
+    packing = groebner._packing(_WIDE_ORDERS[3], 3, 256)
+    for texts, works in _WIDE:
+        groebner._buchberger(ring, [ring.parse(t) for t in texts], packing)
+        assert reducers[-1].work == works[3]
+
+
+class _DegreeThenWeight:
+    """Degree, then a weight, then grevlex: a weighted key field below the top."""
+
+    def __init__(self, weights):
+        self.weights = weights
+
+    def key(self, mon):
+        return (sum(mon), sum(map(mul, self.weights, mon)), tuple(-e for e in reversed(mon)))
+
+    def desc_key(self, mon):
+        return (-sum(mon), -sum(map(mul, self.weights, mon))) + mon[::-1]
+
+    def __eq__(self, other):
+        return isinstance(other, _DegreeThenWeight) and other.weights == self.weights
+
+    def __hash__(self):
+        return hash(self.weights)
+
+    def __repr__(self):
+        return f"degree_weight{self.weights}"
+
+
+@pytest.mark.parametrize(
+    "order",
+    [WeightOrder((7, 300, 2)), _DegreeThenWeight((7, 300, 2)), _DegreeThenWeight((1, 1, 1))],
+    ids=repr,
+)
+@pytest.mark.parametrize("width", [8, 16])
+def test_weighted_key_field_at_the_top_of_its_range(order, width):
+    # exponents at 0, 1 and the largest the field holds, where a key field
+    # with weights spans its whole range: packed ints compare as the keys
+    # do, and the guard bits divide as the exponent tuples do
+    packing = groebner._packing(order, 3, width)
+    top = (1 << (width - 1)) - 1
+    mons = list(product((0, 1, top - 1, top), repeat=3))
+    packed = {m: packing.pack(m) for m in mons}
+    assert all(packing.unpack(packed[m]) == m for m in mons)
+    for a, b in product(mons, repeat=2):
+        assert (packed[a] < packed[b]) == (order.key(a) > order.key(b))
+        guarded = ((packed[b] | packing.guard) - packed[a]) & packing.guard == packing.guard
+        assert guarded == all(x <= y for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "GF32003"])
+def test_cached_basis_keeps_its_packed_reducers(monkeypatch, field):
+    # ``buchberger`` hands its packed reducers to the cached basis: the first
+    # normal form against it packs only its input. A basis built from a
+    # plain list packs its elements then, once.
+    variables, texts = _katsura(3)
+    ring = PolyRing(variables, field)
+    basis = groebner_basis(groebner.Ideal.parse(ring, texts))
+    packed = []
+    plain = groebner._plain
+
+    def counting(f, packing):
+        packed.append(f)
+        return plain(f, packing)
+
+    monkeypatch.setattr(groebner, "_plain", counting)
+    probe = ring.parse("u0^3 + 2*u1*u2*h - u3^2*h")
+    remainder = basis.normal_form(probe)
+    assert remainder == slow_groebner.normal_form(probe, list(basis), GREVLEX)
+    assert packed == [probe]
+    frozen = GroebnerBasis(ring, GREVLEX, list(basis))
+    packed.clear()
+    assert frozen.normal_form(probe) == remainder
+    assert frozen.normal_form(probe) == remainder
+    assert packed == list(basis) + [probe, probe]
 
 
 def _katsura(n: int) -> tuple:

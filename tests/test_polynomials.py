@@ -13,6 +13,8 @@ from gradealg.polynomials import (
     GREVLEX,
     LEX,
     PolyRing,
+    Polynomial,
+    WeightOrder,
     elimination_order,
 )
 from tests.graded_relation import Bidegree, bidegree, map_into
@@ -83,8 +85,41 @@ def test_elimination_order_blocks():
 def test_desc_key_sorts_descending():
     rng = random.Random(7)
     mons = {tuple(rng.randrange(4) for _ in range(4)) for _ in range(200)}
-    for order in (GREVLEX, LEX, elimination_order([1, 3], 4), elimination_order([0], 4)):
+    orders = (GREVLEX, LEX, elimination_order([1, 3], 4), elimination_order([0], 4))
+    for order in orders + (WeightOrder((3, 1, 1, 5)),):
         assert sorted(mons, key=order.desc_key) == sorted(mons, key=order.key, reverse=True)
+
+
+def test_weight_order():
+    order = WeightOrder((2, 2, 1))
+    # the weight decides first, whatever the degree; grevlex breaks ties
+    assert order.key((1, 0, 0)) > order.key((0, 0, 1))
+    assert order.key((0, 0, 3)) > order.key((1, 0, 0))
+    assert order.key((1, 0, 0)) > order.key((0, 1, 0))
+    assert order.weight((1, 2, 3)) == 9
+    assert WeightOrder((2, 2, 1)) == order and hash(WeightOrder([2, 2, 1])) == hash(order)
+    with pytest.raises(ValueError):
+        WeightOrder((1, 0))
+
+
+def test_constructor_maps_or_refuses_coefficients():
+    # the fields' rules: over GF(p) a Fraction becomes its residue, and
+    # neither field takes a float
+    R7 = ring("x", GF(7))
+    half = Polynomial(R7, {(1,): Fraction(1, 2)})
+    assert half.terms == {(1,): 4} and type(half.terms[(1,)]) is int
+    assert str(half) == "4*x" and half == R7.parse("1/2*x")
+    assert not Polynomial(R7, {(1,): Fraction(7, 3)})
+    with pytest.raises(ZeroDivisionError):
+        Polynomial(R7, {(1,): Fraction(1, 7)})
+    with pytest.raises(TypeError, match=r"^float is not a GF\(7\) coefficient$"):
+        Polynomial(R7, {(1,): 2.5, (0,): 1})
+    RQ = ring("x", QQ)
+    with pytest.raises(TypeError, match="^float is not a rational coefficient$"):
+        Polynomial(RQ, {(1,): 2.5})
+    with pytest.raises(TypeError, match="^str is not a rational coefficient$"):
+        Polynomial(RQ, {(1,): Fraction(1, 2), (0,): "1"})
+    assert Polynomial(RQ, {(1,): Fraction(1, 2), (0,): 3}) == RQ.parse("1/2*x + 3")
 
 
 def random_poly(rng, R, max_terms=6, max_exp=4):
