@@ -36,9 +36,10 @@ from __future__ import annotations
 import json
 import re
 import sys
+from functools import cached_property
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from . import schemas
 from .blowup import (
@@ -69,7 +70,7 @@ DEFAULT_WINDOW = (-10, 2)
 def _window_for(spec: dict, args) -> tuple:
     """The cohomology window, which must contain 0: ``--window``, else the
     file's, else the default."""
-    if args.window:
+    if args.window is not None:
         m = re.fullmatch(r"(-?[0-9]+):(-?[0-9]+)", args.window.strip())
         if not m:
             raise ValueError(f"bad window {args.window!r}; expected lo:hi")
@@ -108,26 +109,47 @@ def _minimal_nonface_ideal(ring: PolyRing, complex: SimplicialComplex) -> Ideal:
     )
 
 
-class _Problem(NamedTuple):
-    """A problem's ring, J and I; its complex is built only where needed."""
+class _Problem:
+    """A problem's ring and I; its complex is built only where needed, and
+    J on its first read.
 
-    ring: PolyRing
-    J: Ideal
-    i_polys: list
-    complex_builder: Callable[[], SimplicialComplex]
+    For a facets spec J is the minimal non-face ideal, which only
+    ``check-iso``, ``presentation``, ``hilbert`` and the B of a
+    non-monomial I read: ``dim``, ``cohomology`` and ``gencm`` read B off
+    the complex (``_variable_basis``) and never build J as polynomials.
+    """
+
+    def __init__(
+        self,
+        ring: PolyRing,
+        i_polys: list,
+        make_complex: Callable[[], SimplicialComplex],
+        make_j: Callable[[], Ideal],
+    ):
+        self.ring = ring
+        self.i_polys = i_polys
+        self.make_complex = make_complex
+        self._make_j = make_j
+
+    @cached_property
+    def J(self) -> Ideal:
+        return self._make_j()
 
 
 def _problem(spec: dict, field) -> _Problem:
     ring = PolyRing(tuple(spec["variables"]), field)
     if "J" in spec:
         J = Ideal.parse(ring, spec["J"])
-        complex_builder = lambda: SimplicialComplex.from_ideal(J)
+        make_complex = lambda: SimplicialComplex.from_ideal(J)
+        make_j = lambda: J
     else:
         cx = _complex_from_facets(ring, spec["facets"])
-        J = _minimal_nonface_ideal(ring, cx)
-        complex_builder = lambda: cx
+        # eager, so the face budget is met first on every command
+        cx.minimal_nonfaces()
+        make_complex = lambda: cx
+        make_j = lambda: _minimal_nonface_ideal(ring, cx)
     i_polys = [ring.parse(t) for t in spec["I"]]
-    return _Problem(ring, J, i_polys, complex_builder)
+    return _Problem(ring, i_polys, make_complex, make_j)
 
 
 def _window_entries(table: dict) -> list:
@@ -139,8 +161,32 @@ def _flag_rows(window_obj) -> list:
     return [{"index": i, **window_obj.flag(i)._asdict()} for i in window_obj.indices()]
 
 
+def _monomial_variable_basis(monomials: list, complex: SimplicialComplex):
+    """``variable_subset_basis`` for a monomial I on the face ring of the
+    complex, read off its minimal non-faces by the divisibility rule of
+    docs/math-notes.md §10 (stated for B in §2). x_i lies in I + J exactly
+    when a generator of I divides it or {i} is a minimal non-face, and a
+    generator lies in (x_B) + J exactly when its support meets B or
+    contains a minimal non-face. ``monomials`` are the exponent vectors of
+    I's nonzero generators."""
+    nonfaces = complex.minimal_nonfaces()
+    unit = any(not any(m) for m in monomials)  # a constant divides every x_i
+    divides = {m.index(1) for m in monomials if sum(m) == 1}
+    divides.update(s[0] for s in nonfaces if len(s) == 1)
+    b = tuple(i for i in complex.vertices if unit or i in divides)
+    for m in monomials:
+        support = {i for i, e in enumerate(m) if e}
+        if support.isdisjoint(b) and not any(support.issuperset(s) for s in nonfaces):
+            return None
+    return b
+
+
 def _variable_basis(problem: _Problem, complex: SimplicialComplex) -> tuple:
-    b = variable_subset_basis(problem.i_polys, problem.J)
+    if all(len(g.terms) <= 1 for g in problem.i_polys):
+        monomials = [m for g in problem.i_polys for m in g.terms]
+        b = _monomial_variable_basis(monomials, complex)
+    else:
+        b = variable_subset_basis(problem.i_polys, problem.J)
     if b is None:
         raise ValueError("I is not generated by variable images modulo J")
     if not any(complex.has_face((v,)) for v in b):
@@ -235,7 +281,7 @@ def _cmd_hilbert(problem: _Problem, spec: dict, args) -> tuple:
 def _cmd_cohomology(problem: _Problem, spec: dict, args) -> tuple:
     field = problem.ring.field
     lo, hi = _window_for(spec, args)
-    complex = problem.complex_builder()
+    complex = problem.make_complex()
     inv = sr_invariants(complex, field)
     invariants = {
         "dim_A": inv.dim,
@@ -280,7 +326,7 @@ def _cmd_cohomology(problem: _Problem, spec: dict, args) -> tuple:
 def _cmd_gencm(problem: _Problem, spec: dict, args) -> tuple:
     field = problem.ring.field
     lo, hi = _window_for(spec, args)
-    complex = problem.complex_builder()
+    complex = problem.make_complex()
     data = SplitSRData.from_split(complex, _variable_basis(problem, complex))
     verdict = decide_gencm(data, field)
     window_a = local_cohomology_window(complex, field)
@@ -312,7 +358,7 @@ def _cmd_gencm(problem: _Problem, spec: dict, args) -> tuple:
 
 
 def _cmd_dim(problem: _Problem, spec: dict, args) -> tuple:
-    complex = problem.complex_builder()
+    complex = problem.make_complex()
     b = _variable_basis(problem, complex)
     inv = sr_invariants(complex, problem.ring.field)
     report = {
@@ -428,7 +474,7 @@ def main(argv=None) -> int:
         with open(args.input, encoding="utf-8") as fh:
             spec = json.load(fh)
         schemas.validate_input(spec)
-        field = parse_field(args.field or spec.get("field", "Q"))
+        field = parse_field(spec.get("field", "Q") if args.field is None else args.field)
         problem = _problem(spec, field)
         fields, lines, code = _HANDLERS[args.command](problem, spec, args)
         report = {

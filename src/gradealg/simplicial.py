@@ -6,10 +6,14 @@ reduced homology of face links: a face s with link homology rank r in
 
     r * C(-j-1, |s|-1)   to dimension at every internal degree j <= -|s|,
 
-while the empty face contributes its rank at degree 0 only. Homology ranks
-come from sparse elimination on the boundary matrices, on ints mod p over
-GF(p) and fraction-free over the integers for Q, so everything downstream
-of this module is exact as well. The per-index contribution profile
+while the empty face contributes its rank at degree 0 only. A link's
+facets are the F - s of the facets F containing s, so a link is built with
+no facet comparison. Homology ranks need no matrix for a cone (acyclic) or
+below dimension 2 (the rank of the boundary from edges to vertices is the
+vertex count less the number of components); the boundary matrices from
+dimension 2 up go through sparse elimination, on ints mod p over GF(p)
+and fraction-free over the integers for Q, so everything downstream of
+this module is exact as well. The per-index contribution profile
 ``{index: {face size: rank}}`` does not depend on any degree window: it is
 computed once per (complex, field), and a ``CohomologyWindow`` is a view of
 it that answers dimension queries at any degree. Link homology is computed
@@ -66,11 +70,16 @@ class SimplicialComplex:
             if not f <= vset:
                 raise ValueError(f"facet {sorted(f)} outside the vertex set")
             cleaned.add(f)
-        maximal = [
-            f for f in cleaned if not any(f < g for g in cleaned)
-        ]
-        if not maximal:
-            maximal = [frozenset()]
+        # a facet is kept unless it lies in a larger kept one
+        maximal: list = []
+        for f in sorted(cleaned, key=len, reverse=True):
+            if not any(f < g for g in maximal):
+                maximal.append(f)
+        self._set(vertices, maximal or [frozenset()])
+
+    def _set(self, vertices: tuple, maximal: list) -> None:
+        """Hold these sorted vertices and maximal facets, the facets sorted
+        by size, then lexicographically."""
         self.vertices = vertices
         self.facets = tuple(sorted(maximal, key=lambda f: (len(f), sorted(f))))
         self._nonfaces = None
@@ -131,12 +140,15 @@ class SimplicialComplex:
         return any(s <= f for f in self.facets)
 
     def link(self, s: Iterable[int]) -> "SimplicialComplex":
+        """The link of a face s. Its facets are the F - s for the facets
+        F containing s, maximal already, so no facet is compared."""
         s = frozenset(s)
-        if not self.has_face(s):
+        facets = [f - s for f in self.facets if s <= f]
+        if not facets:
             raise ValueError(f"{sorted(s)} is not a face")
-        return SimplicialComplex(
-            set(self.vertices) - s, [f - s for f in self.facets if s <= f]
-        )
+        link = SimplicialComplex.__new__(SimplicialComplex)
+        link._set(tuple(v for v in self.vertices if v not in s), facets)
+        return link
 
     def join(self, other: "SimplicialComplex") -> "SimplicialComplex":
         if set(self.vertices) & set(other.vertices):
@@ -242,30 +254,50 @@ def reduced_homology_ranks(complex: SimplicialComplex, field) -> dict:
     """Ranks of reduced homology over the field, indexed -1..dim.
 
     Uses the augmented chain complex, so the empty complex has rank one in
-    index -1 and any nonempty complex has rank zero there.
+    index -1 and any nonempty complex has rank zero there. Only the
+    boundary maps from dimension 2 up are eliminated (docs/math-notes.md
+    §2): a cone, whose facets share a vertex, is acyclic; the augmentation
+    has rank one on a nonempty complex; and the rank of the boundary from
+    edges to vertices is the number of vertices less the number of
+    connected components, counted here as the edges that join two
+    components.
     """
+    top = complex.dim
+    if top >= 0 and frozenset.intersection(*complex.facets):
+        return dict.fromkeys(range(-1, top + 1), 0)
     by_dim: dict = {}
     for f in complex.facets:
         f = sorted(f)
         for size in range(len(f) + 1):
             by_dim.setdefault(size - 1, set()).update(combinations(f, size))
-    faces_by_dim = {i: sorted(fs) for i, fs in by_dim.items()}
-    top = complex.dim
 
-    boundary_rank: dict = {}
-    for i in range(0, top + 1):
-        cols = {f: k for k, f in enumerate(faces_by_dim.get(i - 1, []))}
+    root = {v: v for (v,) in by_dim.get(0, ())}
+    joins = 0
+    for edge in by_dim.get(1, ()):
+        u, v = (_root(root, x) for x in edge)
+        if u != v:
+            root[u] = v
+            joins += 1
+    boundary_rank = {0: int(bool(root)), 1: joins}
+    for i in range(2, top + 1):
+        cols = {f: k for k, f in enumerate(sorted(by_dim[i - 1]))}
         rows = (
             {cols[f[:k] + f[k + 1 :]]: (-1) ** k for k in range(len(f))}
-            for f in faces_by_dim.get(i, [])
+            for f in sorted(by_dim[i])
         )
         boundary_rank[i] = _rank(rows, field.characteristic)
 
-    ranks = {}
-    for i in range(-1, top + 1):
-        dim_ci = len(faces_by_dim.get(i, []))
-        ranks[i] = dim_ci - boundary_rank.get(i, 0) - boundary_rank.get(i + 1, 0)
-    return ranks
+    return {
+        i: len(by_dim.get(i, ())) - boundary_rank.get(i, 0) - boundary_rank.get(i + 1, 0)
+        for i in range(-1, top + 1)
+    }
+
+
+def _root(root: dict, v):
+    """The representative of v's component, halving the path to it."""
+    while root[v] != v:
+        root[v] = v = root[root[v]]
+    return v
 
 
 class IndexFlags(NamedTuple):

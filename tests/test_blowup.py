@@ -3,6 +3,7 @@ and hilbert tables via one weighted basis."""
 
 import random
 import time
+import warnings
 
 import pytest
 
@@ -13,6 +14,7 @@ from gradealg.blowup import (
     rees_presentation,
 )
 from gradealg import blowup, groebner
+from gradealg.criterion import decide_and_verify
 from gradealg.errors import LimitExceeded
 from gradealg.fields import GF, QQ
 from gradealg.groebner import Ideal, count_standard_monomials, hilbert_function, ideal_member
@@ -364,11 +366,9 @@ _EDGE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)], ids=["Q", "GF2", "GF32003"])
-def test_weighted_route_matches_the_rees_oracles(field):
-    # G's presentation read off the weighted basis equals the Rees route's,
-    # on the production engine and on the slow one, and so do the hilbert
-    # tables counted on the two bases (math-notes §11)
+def _weighted_draws(field) -> tuple:
+    """The edge cases and 36 seeded (J, I) draws, with the generator
+    stream that continues past them."""
     rng = random.Random(2311)
     # 2*x1 is 0 over GF(2), which no command takes
     draws = [(J, f) for J, f in (setup(*case, field)[1:] for case in _EDGE_CASES) if all(f)]
@@ -376,6 +376,15 @@ def test_weighted_route_matches_the_rees_oracles(field):
         R = PolyRing(tuple(f"x{i}" for i in range(1, rng.randrange(3, 5))), field)
         j_gens = [_random_homogeneous(R, rng, rng.randrange(2, 4)) for _ in range(rng.randrange(3))]
         draws.append((Ideal(R, j_gens), _draw_generators(R, rng, kind)))
+    return draws, rng
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)], ids=["Q", "GF2", "GF32003"])
+def test_weighted_route_matches_the_rees_oracles(field):
+    # G's presentation read off the weighted basis equals the Rees route's,
+    # on the production engine and on the slow one, and so do the hilbert
+    # tables counted on the two bases (math-notes §11)
+    draws, rng = _weighted_draws(field)
     for J, f in draws:
         f = tuple(f)
         pres = blowup._assoc_graded(J, f)
@@ -393,3 +402,21 @@ def test_weighted_route_matches_the_rees_oracles(field):
             degree_bound,
         )
         assert bigraded_hilbert(J, f, level_bound, degree_bound).dims == counted, (J, f)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)], ids=["Q", "GF2", "GF32003"])
+def test_certificate_verifies_on_the_weighted_draws(field):
+    # each positive decision among the draws is certified by dividing each
+    # generator list by the other
+    verified = 0
+    for J, f in _weighted_draws(field)[0]:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                decision = decide_and_verify(J, f, allow_linear=True)
+        except ValueError:
+            continue  # an input the decision refuses
+        if decision.isomorphic:
+            assert decision.verified, (J, f)
+            verified += 1
+    assert verified >= 5

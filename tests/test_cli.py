@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, stdout, and frozen JSON reports."""
 
 import json
+import random
 import subprocess
 import sys
 import time
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from gradealg import QQ, PolyRing
 from gradealg.cli import main
 from tests.test_simplicial import RP2_FACETS
 from gradealg.schemas import INPUT_SCHEMA, OUTPUT_SCHEMAS
@@ -128,7 +130,7 @@ def test_facets_spec_finds_its_minimal_nonfaces_once(monkeypatch, argv):
 
     monkeypatch.setattr(simplicial, "_minimal_nonfaces", recording)
     assert main([*argv, "--input", str(DATA / "path.json")]) == 0
-    # the spec's complex first, for J; no complex a second time
+    # the spec's complex first, eagerly in _problem; no complex a second time
     assert enumerated[0][0] == (0, 1, 2)
     assert len(set(enumerated)) == len(enumerated)
 
@@ -536,8 +538,8 @@ def test_linear_generator_is_rejected_before_any_basis(tmp_path, monkeypatch, ca
     [["dim"], ["cohomology", "--module", "R"], ["gencm"]],
 )
 def test_face_ring_commands_build_no_basis(tmp_path, monkeypatch, capsys, argv):
-    # J is a monomial ideal and I is generated by variables: membership is
-    # decided by divisibility, so no Buchberger run is needed
+    # I is generated by variables: B is read off the minimal non-faces, so
+    # no Buchberger run is needed
     from gradealg import groebner
 
     def refuse(*args, **kwargs):
@@ -553,6 +555,21 @@ def test_face_ring_commands_build_no_basis(tmp_path, monkeypatch, capsys, argv):
     for spec, (code, out) in zip(specs, expected):
         assert main([*argv, "--input", str(spec)]) == code
         assert capsys.readouterr().out == out
+
+
+EDGE_SPEC = {"variables": ["x1", "x2"], "facets": [[1, 2]], "I": ["x1"]}
+
+
+def test_empty_option_values_take_both_routes():
+    # the rows of test_rejection_messages below rely on these routes
+    from gradealg.cli import _parse_args, _read_argv
+
+    for full, short in (("--field", "--f="), ("--window", "--w=")):
+        attr = full[2:]
+        assert getattr(_read_argv(["cohomology", full, "", "--input", "a"]), attr) == ""
+        assert getattr(_read_argv(["cohomology", full + "=", "--input", "a"]), attr) == ""
+        assert _read_argv(["cohomology", short, "--input", "a"]) is None
+        assert getattr(_parse_args(["cohomology", short, "--input", "a"]), attr) == ""
 
 
 # one row per exit-1 message of cli.py that a schema-valid input reaches
@@ -581,8 +598,100 @@ def test_face_ring_commands_build_no_basis(tmp_path, monkeypatch, capsys, argv):
             {"variables": ["x1", "x2"], "J": ["1"], "I": ["x1"]},
             "J contains the unit 1, so A = 0",
         ),
+        # an empty --field or --window value is read, not skipped: through
+        # _read_argv, and through argparse for the abbreviated option
+        ("dim --field=", EDGE_SPEC, "unknown field ''; expected Q or GF(p)"),
+        ("dim --f=", EDGE_SPEC, "unknown field ''; expected Q or GF(p)"),
+        ("cohomology --window=", EDGE_SPEC, "bad window ''; expected lo:hi"),
+        ("cohomology --w=", EDGE_SPEC, "bad window ''; expected lo:hi"),
     ],
 )
 def test_rejection_messages(tmp_path, capsys, command, spec, message):
-    assert main([command, "--input", _write_spec(tmp_path, spec)]) == 1
+    assert main([*command.split(), "--input", _write_spec(tmp_path, spec)]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def _draw_i(rng, n, complex) -> list:
+    """I for one draw of the combinatorial-B test: mostly face vertices,
+    often with a non-face monomial; at times a scaled variable, a square,
+    a unit, a zero or a non-monomial sum, which takes the fallback."""
+    x = [f"x{v + 1}" for v in range(n)]
+    nonfaces = complex.minimal_nonfaces()
+    vertices = [v for v in range(n) if complex.has_face((v,))] or list(range(n))
+    gens = [x[v] for v in rng.sample(vertices, rng.randint(1, len(vertices)))]
+    if nonfaces and rng.random() < 0.4:
+        s = set(rng.choice(nonfaces)) | {rng.randrange(n)}
+        gens.append("*".join(x[v] for v in sorted(s)))
+    if rng.random() < 0.3:
+        a, b = rng.randrange(n), rng.randrange(n)
+        gens.append(rng.choice([f"2*{x[a]}", f"{x[a]}^2", "1", "0", f"{x[a]} + {x[b]}",
+                                f"{x[a]}*{x[b]} + {x[b]}^2", f"{x[a]}^2*{x[b]}"]))
+    rng.shuffle(gens)
+    return gens
+
+
+@pytest.mark.parametrize("field", ["Q", "GF(2)", "GF(3)"])
+def test_combinatorial_b_matches_variable_subset_basis(field):
+    # B read off the minimal non-faces against the ideal-sum route on the
+    # polynomial J, or the same error message
+    from gradealg import cli
+    from gradealg.criterion import variable_subset_basis
+    from gradealg.fields import parse_field
+
+    def outcome(route, problem, complex):
+        try:
+            return route(problem, complex)
+        except ValueError as exc:
+            return str(exc)
+
+    def oracle(problem, complex):
+        J = cli._minimal_nonface_ideal(problem.ring, complex)
+        b = variable_subset_basis(problem.i_polys, J)
+        if b is None:
+            raise ValueError("I is not generated by variable images modulo J")
+        if not any(complex.has_face((v,)) for v in b):
+            raise ValueError("I is zero in A; the blowup pipeline needs a nonzero ideal")
+        return b
+
+    rng = random.Random(f"combinatorial-b:{field}")
+    seen = set()
+    for _ in range(250):
+        n = rng.randint(1, 6)
+        facets = [rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(rng.randint(0, 4))]
+        spec = {"variables": [f"x{v}" for v in range(1, n + 1)], "facets": facets, "I": []}
+        complex = cli._complex_from_facets(PolyRing(spec["variables"], QQ), facets)
+        spec["I"] = _draw_i(rng, n, complex)
+        problem = cli._problem(spec, parse_field(field))
+        got = outcome(cli._variable_basis, problem, complex)
+        assert got == outcome(oracle, problem, complex), spec
+        monomial = all(len(g.terms) <= 1 for g in problem.i_polys)
+        seen.add((monomial, isinstance(got, tuple)))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize(
+    "argv", [["dim"], ["cohomology", "--module", "A"], ["cohomology", "--module", "R"], ["gencm"]]
+)
+def test_face_ring_commands_build_no_polynomial_j(monkeypatch, argv):
+    from gradealg import cli
+
+    def refuse(ring, complex):
+        raise AssertionError("the polynomial J was built")
+
+    monkeypatch.setattr(cli, "_minimal_nonface_ideal", refuse)
+    assert main([*argv, "--input", str(DATA / "edge.json")]) == 0
+
+
+def test_check_iso_builds_the_polynomial_j_once(monkeypatch):
+    from gradealg import cli
+
+    calls = []
+    original = cli._minimal_nonface_ideal
+
+    def counting(ring, complex):
+        calls.append(complex)
+        return original(ring, complex)
+
+    monkeypatch.setattr(cli, "_minimal_nonface_ideal", counting)
+    assert main(["check-iso", "--input", str(DATA / "edge.json")]) == 0
+    assert len(calls) == 1

@@ -203,6 +203,18 @@ def test_verify_rejects_tampered_witness():
     assert not verify_iso_witness(J, bad)
 
 
+def test_verify_rejects_a_tampered_binomial_witness():
+    # the twisted cubic's lists are no monomials: they divide by normal forms
+    R, J, f = setup(
+        "x1,x2,x3,x4", ["x1*x3 - x2^2", "x1*x4 - x2*x3", "x2*x4 - x3^2"],
+        ["x1", "x2", "x3", "x4"],
+    )
+    w = decide_iso(J, f).witness
+    assert verify_iso_witness(J, w)
+    bad = w._replace(jb=Ideal(R, w.jb.generators[:2]))
+    assert not verify_iso_witness(J, bad)
+
+
 def test_gf_field_decision():
     R, J, f = setup("x1,x2,x3", ["x1*x2", "x3^2"], ["x1", "x2"], field=GF(7))
     d = decide_and_verify(J, f)
@@ -372,3 +384,32 @@ def test_split_check_matches_the_elimination_oracle(field):
         J, b = _random_split_problem(rng, S)
         verdicts.add(_assert_split_matches_oracle(J, b) is not None)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "GF32003"])
+def test_certificate_runs_no_buchberger_of_its_own(monkeypatch, field):
+    # G's defining ideal and (X_B) + sigma(JB) + JC are reduced grevlex
+    # bases already: the certificate divides each side's generators by the
+    # other side's list, so its Buchberger runs are the decision's and G's
+    from gradealg import blowup, groebner
+
+    R, J, f = setup(
+        "x1,x2,x3,x4", ["x1*x3 - x2^2", "x1*x4 - x2*x3", "x2*x4 - x3^2"],
+        ["x1", "x2", "x3", "x4"], field,
+    )
+    runs = []
+    original = groebner.buchberger
+
+    def counting(generators, order):
+        runs.append(order)
+        return original(generators, order)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    groebner._cached_gb.cache_clear()
+    d = decide_iso(J, f)
+    blowup._assoc_graded(J, tuple(R.var(i) for i in d.witness.b))
+    needed = len(runs)
+    groebner._cached_gb.cache_clear()
+    runs.clear()
+    assert decide_and_verify(J, f).verified
+    assert len(runs) == needed

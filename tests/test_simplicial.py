@@ -153,6 +153,30 @@ def test_link_and_join():
         pt.join(pt)
 
 
+def test_constructor_keeps_the_maximal_facets_of_any_list():
+    rng = random.Random(53)
+    for _ in range(60):
+        n = rng.randint(0, 6)
+        facets = [frozenset(rng.sample(range(n), rng.randint(0, n)))
+                  for _ in range(rng.randint(0, 8))]
+        maximal = {f for f in facets if not any(f < g for g in facets)} or {frozenset()}
+        c = SimplicialComplex(range(n), facets)
+        assert c.facets == tuple(sorted(maximal, key=lambda f: (len(f), sorted(f))))
+
+
+def test_link_facets_match_the_constructor():
+    # a link takes the F - s of the facets F containing s as they are
+    rng = random.Random(47)
+    for _ in range(40):
+        c = random_complex(rng, range(rng.randint(1, 6)))
+        for face in c.faces():
+            link = c.link(face)
+            rebuilt = SimplicialComplex(
+                set(c.vertices) - face, [f - face for f in c.facets if face <= f]
+            )
+            assert (link.vertices, link.facets) == (rebuilt.vertices, rebuilt.facets)
+
+
 def test_reduced_homology_point_and_simplex():
     pt = SimplicialComplex([0], [(0,)])
     assert all(r == 0 for r in reduced_homology_ranks(pt, QQ).values())

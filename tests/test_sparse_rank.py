@@ -86,3 +86,36 @@ def test_rank_leaves_its_input_rows_alone():
     assert _rank(rows, 0) == 2
     assert _rank(rows, 2) == 1
     assert rows == before
+
+
+def _random_graph(rng) -> SimplicialComplex:
+    """A graph on up to seven vertices, cycles likely, with isolated and
+    ghost vertices."""
+    n = rng.randint(1, 7)
+    edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 9)) if n > 1]
+    points = [(v,) for v in range(n) if rng.random() < 0.4]
+    return SimplicialComplex(range(n + rng.randint(0, 1)), edges + points)
+
+
+def _differential_complexes(seed: int) -> list:
+    """Random complexes, cones over them, graphs, point sets, {empty} and
+    the links of RP2 and its cone (RP2 itself, the link of the empty face,
+    among them): each shortcut of reduced_homology_ranks and the
+    elimination it keeps, which alone tells GF(2) from Q on RP2."""
+    rng = random.Random(seed)
+    out = _random_complexes(seed, 30)
+    out += [
+        SimplicialComplex(range(len(c.vertices) + 1), [f | {len(c.vertices)} for f in c.facets])
+        for c in out[:15]
+    ]
+    out += [_random_graph(rng) for _ in range(30)]
+    out += [SimplicialComplex(range(n), [(v,) for v in range(n)]) for n in range(1, 5)]
+    out += [SimplicialComplex(range(n), []) for n in range(3)]
+    out += [c.link(face) for c in (RP2, CONE_RP2) for face in c.faces()]
+    return out
+
+
+def test_homology_shortcuts_match_dense_boundary_ranks():
+    for c in _differential_complexes(43):
+        for field in FIELDS:
+            assert reduced_homology_ranks(c, field) == dense_homology_ranks(c, field), (c, field)
