@@ -43,7 +43,7 @@ import warnings
 from typing import NamedTuple, Optional, Sequence
 
 from . import blowup
-from .groebner import GroebnerBasis, Ideal, groebner_basis, ideal_member, ideal_sum
+from .groebner import GroebnerBasis, Ideal, _divisible, groebner_basis, ideal_member, ideal_sum
 from .polynomials import GREVLEX
 
 
@@ -177,9 +177,11 @@ def _divides(divisors: Ideal, ideal: Ideal) -> bool:
     A zero remainder proves membership whatever the list, so no Buchberger
     run is needed; both lists of the certificate are reduced grevlex bases
     already, so a member leaves zero. A list of monomials divides by the
-    rule of docs/math-notes.md §10, as ``ideal_member`` does."""
+    rule of docs/math-notes.md §10, as ``ideal_member`` does, read off
+    their exponents once."""
     if all(len(g.terms) == 1 for g in divisors.generators):
-        return all(ideal_member(g, divisors) for g in ideal.generators)
+        exponents = [next(iter(g.terms)) for g in divisors.generators]
+        return all(_divisible(g, exponents) for g in ideal.generators)
     basis = GroebnerBasis(divisors.ring, GREVLEX, divisors.generators)
     return not any(basis.normal_form(g) for g in ideal.generators)
 

@@ -1,13 +1,18 @@
 """Buchberger engine and ideal-level operations.
 
-The engine is the classical algorithm with the two standard pair-discarding
-criteria (coprime leading monomials, chain criterion) and the sugar selection
-strategy: pick the pending pair with the smallest sugar, then the smallest lcm
-degree, break ties lexicographically on the pair indices; on homogeneous input
-this is the normal selection. Output is always the reduced basis,
-monic, sorted with the largest leading monomial first. Input generators are
-canonically sorted before the run, so two runs on shuffled generator lists
-produce identical results.
+The engine is signature-based (Faugère, F5, ISSAC 2002; Eder and Faugère,
+J. Symb. Comp. 80, 2017; math-notes §8, "Signatures"). Each reducer carries
+a signature u*e_i: the i-th input generator is e_i, and signatures compare
+by sugar, then input position, then u in the order. Pairs are treated in
+increasing signature, so on homogeneous input degree by degree, as the
+normal selection does. A pair is dropped when a known syzygy's signature
+divides its own (the syzygy criterion: Koszul syzygies and zero reductions)
+or when another reducer rewrites it (the rewrite criterion), and a reduction
+step inside the run subtracts t*g only when t*sig(g) is below the signature
+being reduced. On a homogeneous regular sequence no pair reduces to 0.
+Output is always the reduced basis, monic, sorted with the largest leading
+monomial first. Input generators are canonically sorted before the run, so
+two runs on shuffled generator lists produce identical results.
 
 Inside a run, and inside ``GroebnerBasis.normal_form``, a polynomial is a
 list of (monomial, coefficient) terms with plain int coefficients: over
@@ -26,7 +31,7 @@ basis and in nonzero remainders; pair bookkeeping (lcm, sugar) stays on
 exponent tuples. The fields are sized from the input; a run whose exponents
 outgrow them restarts with wider ones and takes the same steps. Division
 reduces into one mutable dict with a heap of packed monomials; pending pairs
-sit in a heap keyed by (sugar, lcm degree, i, j). Only the returned basis is
+sit in a heap keyed by their signatures. Only the returned basis is
 built back into ``Polynomial`` objects. The kernel is exact: no floats, no
 reduction mod a prime over Q; and since a reduced basis is unique it returns
 exactly what a ``Polynomial``-level engine returns (``tests/slow_groebner.py``
@@ -56,11 +61,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, combinations_with_replacement
 from math import gcd
-from operator import add, le, mul
+from operator import le, mul
 from typing import NamedTuple, Sequence
 
 from .errors import AmbientMismatch, LimitExceeded
@@ -143,7 +148,7 @@ class _Packing:
     leaves room for the growth of a typical run.
     """
 
-    __slots__ = ("width", "guard", "room", "units", "_low", "_nbytes")
+    __slots__ = ("width", "guard", "room", "units", "_low", "_nbytes", "_fill")
 
     def __init__(self, order, nvars: int, width: int):
         keys = [order.desc_key(tuple(int(i == j) for j in range(nvars))) for i in range(nvars)]
@@ -164,9 +169,14 @@ class _Packing:
         self._nbytes = low // 8
         self.guard = self._low // ((1 << width) - 1) << (width - 1)
         self.room = 1 << (width - 3)
+        self._fill = self.guard - (self.guard >> width - 1)
 
     def pack(self, m) -> int:
         return sum(map(mul, m, self.units))
+
+    def support(self, m: int) -> int:
+        """The guard bits of the variables that occur in m."""
+        return ((m & self._low) + self._fill) & self.guard
 
     def unpack(self, m: int) -> tuple:
         data = (m & self._low).to_bytes(self._nbytes, "little")
@@ -234,7 +244,11 @@ class _Reducer:
     (1 over GF(p)), about the cost of one small-int term operation. It
     depends only on the input, never on the host or the field width. Past
     ``MAX_REDUCTION_WORK`` the run raises ``LimitExceeded``.
+
+    A Buchberger run sets ``sigs`` to its reducers' signatures (``regular``).
     """
+
+    sigs = None
 
     def __init__(self, ring: PolyRing, packing: _Packing, reducers=None):
         self.p = ring.field.characteristic
@@ -262,18 +276,57 @@ class _Reducer:
         self.first[m] = (-1, len(lms))
         return -1
 
-    def reduce(self, h: dict) -> tuple:
+    def regular(self, m: int) -> int:
+        """The first reducer g whose leading monomial divides m with
+        t*sig(g) < ``self.sig`` for t = m/lm(g), or -1 (math-notes §8,
+        "Signatures"). ``sigs`` holds each reducer's excess of sugar over its
+        leading degree, its position and packed u, the degree function of
+        the sugar and a memo of monomial degrees; t*sig(g) has sugar
+        deg(m) + excess."""
+        i = self.divisor(m)
+        if i < 0:
+            return i
+        (excess, pos, us, degree, degrees), (D, P, U) = self.sigs, self.sig
+        lms, guard, n = self.lms, self.packing.guard, len(self.lms)
+        raised, deg = m | guard, None
+        while True:
+            q, x = pos[i], excess[i]
+            if x or q >= P:
+                u = us[i] + m - lms[i]
+                if u & guard:
+                    raise _Overflow
+                # deg(m) <= D, so a g of excess 0 and a smaller position, or
+                # of position P with t*u < U, is regular whatever deg(m) is
+                if x or not (q == P and u > U):
+                    if deg is None:
+                        deg = degrees.get(m)
+                        if deg is None:
+                            deg = degrees[m] = degree(self.packing.unpack(m))
+                    d = deg + x
+                    if d > D or d == D and (q > P or q == P and u <= U):
+                        i += 1
+                        while i < n and (raised - lms[i]) & guard != guard:
+                            i += 1
+                        if i == n:
+                            return -1
+                        continue
+            return i
+
+    def reduce(self, h: dict, sig=None) -> tuple:
         """(rem, scale) for the polynomial in the accumulator ``h`` (monomial
         -> int coeff, emptied on the way): ``rem`` is the remainder times the
         positive int ``scale`` (1 over GF(p)), as a term list, largest first.
+        With a signature ``sig``, only regular steps are taken (``regular``).
 
         To cancel c*m by a reducer with leading coefficient b, the
         accumulator is multiplied by b/g and (c/g)*t*tail subtracted, with
         g = gcd(c, b). Terms already in ``rem`` missed the later factors;
         they get them at the end.
         """
+        self.sig = sig
         p, lms, lcs, tails, divisor, guard = (
-            self.p, self.lms, self.lcs, self.tails, self.divisor, self.packing.guard
+            self.p, self.lms, self.lcs, self.tails,
+            self.divisor if sig is None else self.regular, self.packing.guard,
         )
         heap = list(h)
         heapify(heap)
@@ -351,84 +404,225 @@ def buchberger(generators: Sequence[Polynomial], order=GREVLEX) -> list:
             width *= 2
 
 
-def _buchberger(ring: PolyRing, gens: list, packing: _Packing) -> list:
-    red = _Reducer(ring, packing)
+def _grading(gens: list, n: int):
+    """Positive degrees of the variables for which the generators, not all
+    homogeneous, become homogeneous, or None: a variable y that occurs in
+    one generator only, and there in a term c*y, takes the degree of that
+    generator's other terms, and every other variable degree 1, as for
+    J + (Y_i - t*f_i) and J + (Y_i - f_i) (math-notes §8, "Signatures")."""
+    occurs = [0] * n
+    for g in gens:
+        for v in {v for m in g.terms for v, e in enumerate(m) if e}:
+            occurs[v] += 1
+    w = [1] * n
+    for g in gens:
+        for m in g.terms:
+            if sum(m) == 1 and occurs[m.index(1)] == 1:
+                rest = {sum(t) for t in g.terms if t != m}
+                if len(rest) == 1 and min(rest) > 0:
+                    w[m.index(1)] = rest.pop()
+                break
+    if all(len({sum(map(mul, m, w)) for m in g.terms}) == 1 for g in gens):
+        return w
+    return None
+
+
+def _dot(w, m) -> int:
+    return sum(map(mul, w, m))
+
+
+def _join(divisors: list, m: int, guard: int) -> None:
+    """Add the packed monomial m to ``divisors``, minimal packed monomials,
+    unless one of them divides m; those m divides leave."""
+    raised = m | guard
+    if not any((raised - d) & guard == guard for d in divisors):
+        divisors[:] = [m] + [d for d in divisors if ((d | guard) - m) & guard != guard]
+
+
+def _divided(raised: int, divisors: list, guard: int) -> bool:
+    """Whether one of the packed monomials ``divisors`` divides the one whose
+    guard bits ``raised`` has set; the one that does moves to the front,
+    where the next test meets it first."""
+    for n, d in enumerate(divisors):
+        if (raised - d) & guard == guard:
+            if n:
+                divisors.insert(0, divisors.pop(n))
+            return True
+    return False
+
+
+def _valid(m: int, guard: int) -> int:
+    """m, a product of two valid packed monomials, if no guard bit is set."""
+    if m & guard:
+        raise _Overflow
+    return m
+
+
+def _complete(red: _Reducer, canonical: list, gens: list) -> None:
+    """Append to ``red`` the term lists ``canonical`` of the generators
+    ``gens``, and then reducers until they form a Groebner basis: the
+    signature-based run of math-notes §8, "Signatures".
+
+    The i-th generator in the order below stands for the basis vector e_i,
+    and a reducer for a module element whose leading term is its signature
+    u*e_i. Signatures compare by sugar (Giovini et al., ISSAC 1991: deg u
+    plus the largest degree of generator i, for the degrees of
+    ``_grading``), then position i, then u in the order; on homogeneous
+    input pairs are treated degree by degree. The order is the canonical
+    one, stably sorted by how many generators' leading monomials share a
+    variable with the generator's own: fewer first. A reducer keeps its
+    excess of sugar over its leading degree, its position and packed u.
+    """
     p, lms, lcs, tails = red.p, red.lms, red.lcs, red.tails
+    packing = red.packing
     guard, unpack = packing.guard, packing.unpack
-    # the generators' normalized multiples, repeats dropped, each with its
-    # total degree, in a canonical order, so that shuffled generator lists
-    # give the same run: ascending in the order term by term (a prefix
-    # first, as ``last`` sorts after every packed monomial), then by
-    # coefficients
-    normal = {
-        tuple(_normalized(sorted(_plain(g, packing)[1].items()), p)): max(map(sum, g.terms))
-        for g in gens
-    }
-    last = math.inf
-    canonical = sorted(
-        normal, key=lambda t: ([m for m, _ in t] + [last], [c for _, c in t]), reverse=True
-    )
-    for terms in canonical:
-        red.add(terms)
-    # pair bookkeeping is on exponent tuples: the leading monomials unpacked
-    exps = [unpack(lm) for lm in lms]
-    # sugar (Giovini et al., ISSAC 1991): a generator's is its total degree, a
-    # pair's the larger of sugar_i + deg t_i and sugar_j + deg t_j, and a new
-    # reducer takes its pair's. Kept as each reducer's excess of sugar over
-    # its leading degree, so a pair's sugar is its lcm degree plus the larger
-    # excess; on homogeneous input every excess is 0.
-    excess = [normal[terms] - sum(e) for terms, e in zip(canonical, exps)]
-    pending = {}  # pair -> lcm of the two leading monomials
-    pairs = []  # heap of (sugar, lcm degree, i, j)
-
-    def add_pairs(new: int):
-        # two monomials have S-polynomial 0: such a pair is never queued, and
-        # counts as treated for the chain criterion
-        monomial = not tails[new]
-        lm, e = exps[new], excess[new]
-        for k in range(new):
-            if monomial and not tails[k]:
-                continue
-            lcm = tuple(map(max, exps[k], lm))
-            pending[(k, new)] = lcm
-            degree = sum(lcm)
-            heappush(pairs, (degree + max(excess[k], e), degree, k, new))
-
-    for new in range(1, len(lms)):
-        add_pairs(new)
-    while pairs:
-        pair_sugar, _, i, j = heappop(pairs)
-        lcm = pending.pop((i, j))
-        if lcm == tuple(map(add, exps[i], exps[j])):
-            continue  # coprime leading monomials
-        lcm = packing.pack(lcm)
-        raised = lcm | guard
-        if any(
-            k != i
-            and k != j
-            and (raised - lms[k]) & guard == guard
-            and (min(i, k), max(i, k)) not in pending
-            and (min(j, k), max(j, k)) not in pending
-            for k in range(len(lms))
+    # the total degree, or else the degrees of ``_grading``, counts the sugar
+    totals = [set(map(sum, g.terms)) for g in gens]
+    w = None if all(len(d) == 1 for d in totals) else _grading(gens, gens[0].ring.nvars)
+    if w is None:
+        degree, sugar = sum, list(map(max, totals))
+    else:
+        degree = partial(_dot, w)
+        sugar = [degree(next(iter(g.terms))) for g in gens]
+    low, shift, field = packing._low, packing.width - 1, (1 << packing.width) - 1
+    support = [packing.support(t[0][0]) for t in canonical]
+    links = [len([c for c in support if b & c]) for b in support]
+    order = sorted(range(len(canonical)), key=links.__getitem__)
+    support = [support[i] for i in order]
+    for i in order:
+        red.add(canonical[i])
+    exps = list(map(unpack, lms))
+    degs = list(map(degree, exps))
+    excess = [sugar[i] - d for i, d in zip(order, degs)]
+    pos = list(range(len(lms)))
+    us = [0] * len(lms)
+    red.sigs = (excess, pos, us, degree, {})
+    at = [[k] for k in pos]  # reducers by position, in the order added
+    syz = {}  # position -> u of its zero reductions
+    # lm_k*e_i is the signature of a Koszul syzygy for a reducer k of excess
+    # 0 and any i > pos_k: ``koszul[i]`` holds such lm_k, a new one only if
+    # none there divides it
+    tight = [lm if not x else None for lm, x in zip(lms, excess)]
+    koszul = [[lm for lm in tight[:i] if lm is not None] for i in range(len(lms) + 1)]
+    pairs = []  # heap of ((sugar, position, -u), generator, other)
+    new = 1  # the next reducer whose pairs with the earlier ones are queued
+    while True:
+        while new < len(lms):
+            # a pair of two monomials has S-polynomial 0, and one of two
+            # coprime leading monomials of excess 0 the signature of a
+            # Koszul syzygy: neither is queued
+            lm, e, d, x, q, u = lms[new], exps[new], degs[new], excess[new], pos[new], us[new]
+            monomial, v = not tails[new], support[new]
+            for k in range(new):
+                if monomial and not tails[k] or not (v & support[k] or x or excess[k]):
+                    continue
+                if not (x or excess[k]) and q != pos[k]:
+                    # equal sugar: the side of the later position has the
+                    # pair's signature, and its exponents decide the
+                    # syzygy criterion before anything is packed
+                    g, o = (new, k) if q > pos[k] else (k, new)
+                    # the exponents of t*u_g, t = lcm/lm_g: field by field,
+                    # the guard of (lm_o | guard) - lm_g survives iff lm_o's
+                    # exponent is at least lm_g's, and the field then holds
+                    # their difference and the guard
+                    c = ((lms[o] & low) | guard) - (lms[g] & low)
+                    t = c & guard
+                    raised = (us[g] & low) + (c & (t >> shift) * field ^ t)
+                    if raised & guard:
+                        raise _Overflow
+                    if _divided(raised | guard, koszul[pos[g]], guard):
+                        continue
+                lcm = tuple(map(max, exps[k], e))
+                s = degree(lcm)
+                # the pair's signature is the larger of t_new*sig_new and
+                # t_k*sig_k; a pair with the two equal is singular, not queued
+                lcm = packing.pack(lcm)
+                ua, uk = u + lcm - lm, us[k] + lcm - lms[k]
+                if (ua | uk) & guard:
+                    raise _Overflow
+                a, b = (s + x, q, -ua), (s + excess[k], pos[k], -uk)
+                if a != b:
+                    pair = (a, new, k) if a > b else (b, k, new)
+                    if q == pos[k] or x or excess[k]:
+                        if _divided(-pair[0][2] | guard, koszul[pair[0][1]], guard):
+                            continue
+                    heappush(pairs, pair)
+            new += 1
+        if not pairs:
+            return
+        (s, q, u), i, j = heappop(pairs)
+        u = -u
+        raised = u | guard
+        lm = u - us[i] + lms[i]
+        if (
+            # syzygy criterion: a known syzygy's signature divides u*e_q
+            q in syz and any((raised - v) & guard == guard for v in syz[q])
+            or _divided(raised, koszul[q], guard)
+            # rewrite criterion: another reducer k whose signature divides
+            # u*e_q has a multiple of that signature with a smaller leading
+            # monomial than t_i*g_i, or the same one and k was added later
+            or any(
+                k != i
+                and (raised - us[k]) & guard == guard
+                and ((c := _valid(u - us[k] + lms[k], guard)) > lm or c == lm and k > i)
+                for k in at[q]
+            )
         ):
-            continue  # chain criterion
+            continue
         # S-polynomial (lc_j/g)*t_i*g_i - (lc_i/g)*t_j*g_j: the leading terms
         # cancel, so only the tails enter
         g = gcd(lcs[i], lcs[j])
         ui, uj = lcs[j] // g, lcs[i] // g
-        ti, tj = lcm - lms[i], lcm - lms[j]
+        ti, tj = lm - lms[i], lm - lms[j]
         h = {m + ti: ui * a for m, a in tails[i]}
         for m, a in tails[j]:
             m += tj
             h[m] = h.get(m, 0) - uj * a
         if any(m & guard for m in h):
             raise _Overflow
-        r = red.reduce(h)[0]
-        if r:
-            red.add(_normalized(r, p))
-            exps.append(unpack(lms[-1]))
-            excess.append(pair_sugar - sum(exps[-1]))
-            add_pairs(len(lms) - 1)
+        r = red.reduce(h, (s, q, u))[0]
+        if not r:
+            syz.setdefault(q, []).append(u)
+            continue
+        r = _normalized(r, p)
+        # singular criterion: a multiple t*g_k has the signature and the
+        # leading monomial of r, so r is not needed
+        lm = r[0][0]
+        raised = lm | guard
+        if any((raised - lms[k]) & guard == guard and us[k] + lm - lms[k] == u for k in at[q]):
+            continue
+        red.add(r)
+        support.append(packing.support(lm))
+        exps.append(unpack(lm))
+        degs.append(degree(exps[-1]))
+        excess.append(s - degs[-1])
+        pos.append(q)
+        us.append(u)
+        at[q].append(len(lms) - 1)
+        if not excess[-1]:
+            for c in koszul[q + 1:]:
+                _join(c, lm, guard)
+
+
+def _buchberger(ring: PolyRing, gens: list, packing: _Packing) -> list:
+    red = _Reducer(ring, packing)
+    p, lms, lcs, tails = red.p, red.lms, red.lcs, red.tails
+    guard, unpack = packing.guard, packing.unpack
+    # the generators' normalized multiples, repeats dropped, in a canonical
+    # order, so that shuffled generator lists give the same run: ascending
+    # in the order term by term (a prefix first, as ``last`` sorts after
+    # every packed monomial), then by coefficients
+    normal = {tuple(_normalized(sorted(_plain(g, packing)[1].items()), p)): g for g in gens}
+    last = math.inf
+    canonical = sorted(
+        normal, key=lambda t: ([m for m, _ in t] + [last], [c for _, c in t]), reverse=True
+    )
+    # the S-polynomial of two monomials is 0: monomials alone need no pair
+    if len(canonical) > 1 and any(len(t) > 1 for t in canonical):
+        _complete(red, canonical, [normal[t] for t in canonical])
+    else:
+        for terms in canonical:
+            red.add(terms)
 
     # minimal basis: visit by ascending leading monomial, keep an element only
     # if no kept leading monomial divides its own (equal ones keep the first)
@@ -441,16 +635,18 @@ def _buchberger(ring: PolyRing, gens: list, packing: _Packing) -> list:
     # unique, so reducing each kept tail once gives the reduced basis; it is
     # made monic here, the only division over Q. Its elements stay packed as
     # the reducers of its normal forms
-    basis, reducers = _ReducedBasis(), ([], [], [])
+    basis, kept_lms, kept_lcs, kept_tails = _ReducedBasis(), [], [], []
     for i in reversed(keep):
-        rem, scale = red.reduce(dict(tails[i]))
+        rem, scale = red.reduce(dict(tails[i])) if tails[i] else ([], 1)
         d = scale * lcs[i]
         terms = [(lms[i], d)] + rem
         basis.append(_polynomial(ring, terms, d, unpack))
-        (lm, lc), *tail = _normalized(terms, p)
-        for part, value in zip(reducers, (lm, lc, tail)):
-            part.append(value)
-    basis.reducers = (packing, reducers)
+        if scale != 1 or rem != tails[i]:  # else the reducer is its normalized form
+            terms = _normalized(terms, p)
+        kept_lms.append(terms[0][0])
+        kept_lcs.append(terms[0][1])
+        kept_tails.append(terms[1:])
+    basis.reducers = (packing, (kept_lms, kept_lcs, kept_tails))
     return basis
 
 
@@ -524,13 +720,18 @@ def normal_form(f: Polynomial, ideal: Ideal, order=GREVLEX) -> Polynomial:
     return groebner_basis(ideal, order).normal_form(f)
 
 
+def _divisible(f: Polynomial, exponents: list) -> bool:
+    """Whether every term of f is divisible by one of the monomials
+    ``exponents``: f lies in the ideal they generate (math-notes §10)."""
+    return all(any(all(map(le, m, t)) for m in exponents) for t in f.terms)
+
+
 def ideal_member(f: Polynomial, ideal: Ideal, order=GREVLEX) -> bool:
     """Whether f lies in the ideal; by divisibility when monomials generate it."""
     if f.ring != ideal.ring:
         raise AmbientMismatch("polynomial outside the basis ring")
     if all(len(g.terms) == 1 for g in ideal.generators):
-        ms = [next(iter(g.terms)) for g in ideal.generators]
-        return all(any(all(map(le, m, t)) for m in ms) for t in f.terms)
+        return _divisible(f, [next(iter(g.terms)) for g in ideal.generators])
     return not normal_form(f, ideal, order)
 
 

@@ -58,6 +58,16 @@ def test_golden_stdout(capsys, command, spec, extra, golden, expected):
     assert out.encode("utf-8") == stdout_golden.read_bytes()
 
 
+def test_cyclic6_q_presentation_matches_its_golden(tmp_path, capsys):
+    # the golden was computed once with the reduction work budget lifted;
+    # the signature criteria keep the run far below the budget
+    out = tmp_path / "report.json"
+    argv = ["presentation", "--input", str(DATA / "cyclic6_q.json"), "--json", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / "presentation_cyclic6_q.json").read_bytes()
+
+
 def test_help_matches_readme(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:

@@ -215,6 +215,15 @@ def test_verify_rejects_a_tampered_binomial_witness():
     assert not verify_iso_witness(J, bad)
 
 
+def test_verify_rejects_a_tampered_monomial_witness():
+    # both lists are monomials: they divide by the exponents read off once
+    R, J, f = setup("x1,x2,x3", ["x1*x2", "x3^2"], ["x1", "x2"])
+    w = decide_iso(J, f).witness
+    assert verify_iso_witness(J, w)
+    bad = w._replace(jc=Ideal(R, [R.parse("x3^3")]))
+    assert not verify_iso_witness(J, bad)
+
+
 def test_gf_field_decision():
     R, J, f = setup("x1,x2,x3", ["x1*x2", "x3^2"], ["x1", "x2"], field=GF(7))
     d = decide_and_verify(J, f)

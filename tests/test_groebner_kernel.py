@@ -231,7 +231,10 @@ def test_kernel_matches_on_wide_rings_and_block_orders(data):
     factor = _poly(ring, data.draw(st.lists(small, min_size=1, max_size=2)))
     members = [factor * g for g in gens]
     # a few such systems, or their normal forms, take the slow engine
-    # minutes; they are skipped
+    # minutes; they are skipped. The slow engine's time grows with the basis
+    # it builds: past 100 terms it took seconds to minutes, where the
+    # kernel, whose signature criteria spare it most of the slow engine's
+    # reductions, can stay within its work budget
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(groebner, "MAX_REDUCTION_WORK", 2 * 10**4)
         try:
@@ -240,6 +243,7 @@ def test_kernel_matches_on_wide_rings_and_block_orders(data):
             remainders = [frozen.normal_form(f) for f in probes + members]
         except LimitExceeded:
             assume(False)
+    assume(sum(len(g.terms) for g in basis) <= 100)
     assert list(map(str, basis)) == list(map(str, slow_groebner.buchberger(gens, order)))
     for f, r in zip(probes + members, remainders):
         assert r == slow_groebner.normal_form(f, basis, order)
@@ -262,20 +266,21 @@ def _counted_reducers(monkeypatch) -> list:
 
 # Exponents at and past 2^31, 2^63 and 2^64: the fields widen from 8 bits
 # until the input fits, and a guard hit in the middle of a run restarts it
-# wider (lex ``x - y^20``, ``y - z^30`` reaches z^600; lex ``x^10`` reduces to
-# a y-power past 2^63; in the last system an S-polynomial reaches past 127
-# under the block order). Each row gives the reduction work of the run under
-# grevlex, lex and the block order as the tuple-monomial kernel counted it,
-# and under the weight order as a run that starts at width 256 counts it.
+# wider (lex ``x - y^20``, ``y - z^30`` reaches z^600 after one reduction
+# step at 8 bits; lex ``x^10`` reduces to a y-power past 2^63; in the last
+# system an S-polynomial reaches past 127 under lex, the block and the weight
+# order). Each row gives the reduction work of the run under grevlex, lex,
+# the block order and the weight order, as a run that starts at width 256
+# counts it.
 _WIDE = [
     (["x^1099511627776 - y"], (0, 0, 0, 0)),
     (["x^2147483648*y - z^3"], (0, 0, 0, 0)),
     (["x^1099511627776 - y", "x^2147483648 - z^3"], (511, 511, 512, 511)),
-    (["x^2147483648*y - z^3", "y^2 - z"], (1, 1, 2, 1)),
-    (["x - y^20", "y - z^30"], (0, 20, 19, 19)),
-    (["x^2 - y^2305843009213693951", "x^10 - z"], (0, 4, 0, 0)),
-    (["x^1180591620717411303424 - y*z", "y^3 - z"], (0, 0, 3, 0)),
-    (["-x^2*y^16 - x^17", "x^17*z^6 + x^18", "-y^28*z^31 + x^26*y^13"], (12, 109, 78, 70)),
+    (["x^2147483648*y - z^3", "y^2 - z"], (0, 0, 0, 0)),
+    (["x - y^20", "y - z^30"], (0, 21, 1, 1)),
+    (["x^2 - y^2305843009213693951", "x^10 - z"], (0, 1, 0, 0)),
+    (["x^1180591620717411303424 - y*z", "y^3 - z"], (0, 0, 1, 0)),
+    (["-x^2*y^16 - x^17", "x^17*z^6 + x^18", "-y^28*z^31 + x^26*y^13"], (9, 294, 12, 12)),
 ]
 _WIDE_ORDERS = [GREVLEX, LEX, elimination_order([1], 3), WeightOrder((7, 300, 2))]
 
@@ -283,8 +288,8 @@ _WIDE_ORDERS = [GREVLEX, LEX, elimination_order([1], 3), WeightOrder((7, 300, 2)
 @pytest.mark.parametrize("column, order", enumerate(_WIDE_ORDERS), ids=repr)
 @pytest.mark.parametrize("texts, works", _WIDE, ids=[", ".join(t) for t, _ in _WIDE])
 def test_exponents_past_the_field_width(monkeypatch, column, order, texts, works):
-    # a restart takes the steps of the tuple kernel's run: with the budget at
-    # that run's work, no run raises LimitExceeded, and the last one does
+    # a restart takes the steps of the run that starts wide: with the budget
+    # at that run's work, no run raises LimitExceeded, and the last one does
     # exactly that work
     work = works[column]
     monkeypatch.setattr(groebner, "MAX_REDUCTION_WORK", work)
@@ -311,6 +316,17 @@ def test_weight_order_starts_wide_with_the_same_work(monkeypatch):
     for texts, works in _WIDE:
         groebner._buchberger(ring, [ring.parse(t) for t in texts], packing)
         assert reducers[-1].work == works[3]
+
+
+@pytest.mark.parametrize("column, order", list(enumerate(_WIDE_ORDERS))[:3], ids=repr)
+def test_other_orders_start_wide_with_the_same_work(monkeypatch, column, order):
+    # the other columns of ``_WIDE`` likewise
+    reducers = _counted_reducers(monkeypatch)
+    ring = PolyRing(("x", "y", "z"), QQ)
+    packing = groebner._packing(order, 3, 256)
+    for texts, works in _WIDE:
+        groebner._buchberger(ring, [ring.parse(t) for t in texts], packing)
+        assert reducers[-1].work == works[column]
 
 
 class _DegreeThenWeight:
@@ -410,13 +426,13 @@ def _cyclic(n: int) -> tuple:
     return v + ["h"], gens
 
 
-# Reduction work of one Buchberger run, as the tuple-monomial kernel counted
-# it: packing the monomials changed no step of a run.
+# Reduction work of one Buchberger run: a change to the steps of a run shows
+# here.
 PINNED_WORK = {
-    ("katsura4", "Q"): 10654,
-    ("katsura4", "GF(32003)"): 6909,
-    ("cyclic5", "Q"): 22130,
-    ("cyclic5", "GF(32003)"): 16967,
+    ("katsura4", "Q"): 2397,
+    ("katsura4", "GF(32003)"): 1605,
+    ("cyclic5", "Q"): 5692,
+    ("cyclic5", "GF(32003)"): 4029,
 }
 
 
@@ -430,3 +446,88 @@ def test_kernel_steps_are_pinned(monkeypatch):
             buchberger([ring.parse(t) for t in texts])
             work[name, field.name] = sum(r.work for r in reducers)
     assert work == PINNED_WORK
+
+
+def _counted_zero_reductions(monkeypatch) -> list:
+    """Patch ``groebner._Reducer`` so that every S-polynomial the run reduces
+    to 0 appends its signature to the returned list. The run reduces
+    S-polynomials with their signature; the final tail reductions, without
+    one, are not counted."""
+    zeros = []
+
+    class Counting(groebner._Reducer):
+        def reduce(self, h, sig=None):
+            rem = super().reduce(h, sig)
+            if sig is not None and not rem[0]:
+                zeros.append(sig)
+            return rem
+
+    monkeypatch.setattr(groebner, "_Reducer", Counting)
+    return zeros
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "GF32003"])
+@pytest.mark.parametrize("n", [4, 5])
+def test_homogenized_katsura_makes_no_zero_reduction(monkeypatch, field, n):
+    # homogenized katsura-n is a regular sequence: every syzygy of it is a
+    # combination of Koszul syzygies, whose signatures the run skips. The
+    # kernel with the chain criterion and no signatures reduced 18 pairs to
+    # 0 on katsura-4 and 48 on katsura-5
+    zeros = _counted_zero_reductions(monkeypatch)
+    variables, texts = _katsura(n)
+    ring = PolyRing(variables, field)
+    gens = [ring.parse(t) for t in texts]
+    assert list(map(str, buchberger(gens))) == list(map(str, slow_groebner.buchberger(gens)))
+    assert zeros == []
+
+
+def _form(rng, ring, degree: int, terms: int) -> Polynomial:
+    """A homogeneous polynomial of the degree with up to ``terms`` terms and
+    coefficients in -4..4 (zero terms drop)."""
+    n = ring.nvars
+    out = ring.zero
+    for _ in range(terms):
+        cuts = sorted(rng.randrange(degree + 1) for _ in range(n - 1))
+        mon = tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
+        out = out + ring.monomial(mon, rng.randrange(-4, 5))
+    return out
+
+
+def _regular_forms(rng, ring) -> list:
+    """Homogeneous forms whose grevlex leading monomials are pairwise
+    coprime: a regular sequence, since their initial forms are one."""
+    while True:
+        gens = [_form(rng, ring, rng.randrange(1, 4), rng.randrange(2, 5)) for _ in range(rng.randrange(2, 4))]
+        lms = [g.leading_monomial(GREVLEX) for g in gens if g]
+        if len(lms) == len(gens) and all(
+            not any(a and b for a, b in zip(x, y)) for i, x in enumerate(lms) for y in lms[:i]
+        ):
+            return gens
+
+
+def test_homogeneous_draws_match_the_polynomial_engine(monkeypatch):
+    # seeded draws of homogeneous systems in 3 and 4 variables, half of them
+    # regular sequences, over Q, GF(2) and GF(32003), under grevlex, lex, a
+    # block order and a weight order: the kernel's reduced basis is the
+    # slow engine's, and on a regular sequence no pair reduces to 0
+    zeros = _counted_zero_reductions(monkeypatch)
+    rng = random.Random(2505)
+    for draw in range(160):
+        nvars = rng.choice((3, 4))
+        field = rng.choice(FIELDS)
+        order = rng.choice(
+            [GREVLEX, LEX, elimination_order([1], nvars), WeightOrder((3, 1, 2, 5)[:nvars])]
+        )
+        ring = PolyRing(("x", "y", "z", "w")[:nvars], field)
+        regular = draw % 2 == 0
+        if regular:
+            gens = _regular_forms(rng, ring)
+        else:
+            gens = [_form(rng, ring, rng.randrange(1, 4), rng.randrange(1, 4)) for _ in range(rng.randrange(2, 4))]
+        zeros.clear()
+        basis = buchberger(gens, order)
+        assert list(map(str, basis)) == list(map(str, slow_groebner.buchberger(gens, order))), (
+            field, order, gens,
+        )
+        if regular:
+            assert zeros == [], (field, order, gens)
