@@ -439,15 +439,19 @@ def _join(divisors: list, m: int, guard: int) -> None:
         divisors[:] = [m] + [d for d in divisors if ((d | guard) - m) & guard != guard]
 
 
-def _divided(raised: int, divisors: list, guard: int) -> bool:
-    """Whether one of the packed monomials ``divisors`` divides the one whose
-    guard bits ``raised`` has set; the one that does moves to the front,
-    where the next test meets it first."""
-    for n, d in enumerate(divisors):
-        if (raised - d) & guard == guard:
-            if n:
-                divisors.insert(0, divisors.pop(n))
-            return True
+def _koszul(raised: int, koszul: list, last: list, i: int, guard: int) -> bool:
+    """Whether u*e_i, with u's guard bits set in ``raised``, is the signature
+    of a Koszul syzygy: whether a packed monomial in ``koszul[j]``, j < i,
+    divides u. ``last[i]``, the one that last did at position i, is tried
+    first, then the lists from position i - 1 down."""
+    d = last[i]
+    if (raised - d) & guard == guard:
+        return True
+    for j in range(i - 1, -1, -1):
+        for d in koszul[j]:
+            if (raised - d) & guard == guard:
+                last[i] = d
+                return True
     return False
 
 
@@ -484,7 +488,6 @@ def _complete(red: _Reducer, canonical: list, gens: list) -> None:
     else:
         degree = partial(_dot, w)
         sugar = [degree(next(iter(g.terms))) for g in gens]
-    low, shift, field = packing._low, packing.width - 1, (1 << packing.width) - 1
     support = [packing.support(t[0][0]) for t in canonical]
     links = [len([c for c in support if b & c]) for b in support]
     order = sorted(range(len(canonical)), key=links.__getitem__)
@@ -492,18 +495,17 @@ def _complete(red: _Reducer, canonical: list, gens: list) -> None:
     for i in order:
         red.add(canonical[i])
     exps = list(map(unpack, lms))
-    degs = list(map(degree, exps))
-    excess = [sugar[i] - d for i, d in zip(order, degs)]
+    excess = [sugar[i] - degree(e) for i, e in zip(order, exps)]
     pos = list(range(len(lms)))
     us = [0] * len(lms)
     red.sigs = (excess, pos, us, degree, {})
     at = [[k] for k in pos]  # reducers by position, in the order added
     syz = {}  # position -> u of its zero reductions
     # lm_k*e_i is the signature of a Koszul syzygy for a reducer k of excess
-    # 0 and any i > pos_k: ``koszul[i]`` holds such lm_k, a new one only if
-    # none there divides it
-    tight = [lm if not x else None for lm, x in zip(lms, excess)]
-    koszul = [[lm for lm in tight[:i] if lm is not None] for i in range(len(lms) + 1)]
+    # 0 and any i > pos_k: ``koszul[j]`` holds the lm_k of position j, a new
+    # one only if none there divides it; ``guard`` divides no monomial
+    koszul = [[] if x else [lm] for lm, x in zip(lms, excess)]
+    last = [guard] * len(lms)
     pairs = []  # heap of ((sugar, position, -u), generator, other)
     new = 1  # the next reducer whose pairs with the earlier ones are queued
     while True:
@@ -511,42 +513,34 @@ def _complete(red: _Reducer, canonical: list, gens: list) -> None:
             # a pair of two monomials has S-polynomial 0, and one of two
             # coprime leading monomials of excess 0 the signature of a
             # Koszul syzygy: neither is queued
-            lm, e, d, x, q, u = lms[new], exps[new], degs[new], excess[new], pos[new], us[new]
+            lm, e, x, q, u = lms[new], exps[new], excess[new], pos[new], us[new]
             monomial, v = not tails[new], support[new]
             for k in range(new):
                 if monomial and not tails[k] or not (v & support[k] or x or excess[k]):
                     continue
-                if not (x or excess[k]) and q != pos[k]:
-                    # equal sugar: the side of the later position has the
-                    # pair's signature, and its exponents decide the
-                    # syzygy criterion before anything is packed
-                    g, o = (new, k) if q > pos[k] else (k, new)
-                    # the exponents of t*u_g, t = lcm/lm_g: field by field,
-                    # the guard of (lm_o | guard) - lm_g survives iff lm_o's
-                    # exponent is at least lm_g's, and the field then holds
-                    # their difference and the guard
-                    c = ((lms[o] & low) | guard) - (lms[g] & low)
-                    t = c & guard
-                    raised = (us[g] & low) + (c & (t >> shift) * field ^ t)
-                    if raised & guard:
-                        raise _Overflow
-                    if _divided(raised | guard, koszul[pos[g]], guard):
-                        continue
+                y, r = excess[k], pos[k]
                 lcm = tuple(map(max, exps[k], e))
                 s = degree(lcm)
-                # the pair's signature is the larger of t_new*sig_new and
-                # t_k*sig_k; a pair with the two equal is singular, not queued
                 lcm = packing.pack(lcm)
-                ua, uk = u + lcm - lm, us[k] + lcm - lms[k]
-                if (ua | uk) & guard:
+                # the pair's signature is the larger of t_new*sig_new and
+                # t_k*sig_k: the side g of the larger excess, then of the
+                # later position
+                if x != y or q != r:
+                    g, o = (new, k) if (x, q) > (y, r) else (k, new)
+                else:
+                    # then of the larger t*u in the order, the smaller packed
+                    # int; a pair with the two equal is singular, not queued
+                    ua, uk = u + lcm - lm, us[k] + lcm - lms[k]
+                    if (ua | uk) & guard:
+                        raise _Overflow
+                    if ua == uk:
+                        continue
+                    g, o = (new, k) if ua < uk else (k, new)
+                ug = us[g] + lcm - lms[g]
+                if ug & guard:
                     raise _Overflow
-                a, b = (s + x, q, -ua), (s + excess[k], pos[k], -uk)
-                if a != b:
-                    pair = (a, new, k) if a > b else (b, k, new)
-                    if q == pos[k] or x or excess[k]:
-                        if _divided(-pair[0][2] | guard, koszul[pair[0][1]], guard):
-                            continue
-                    heappush(pairs, pair)
+                if not _koszul(ug | guard, koszul, last, pos[g], guard):
+                    heappush(pairs, ((s + excess[g], pos[g], -ug), g, o))
             new += 1
         if not pairs:
             return
@@ -557,7 +551,7 @@ def _complete(red: _Reducer, canonical: list, gens: list) -> None:
         if (
             # syzygy criterion: a known syzygy's signature divides u*e_q
             q in syz and any((raised - v) & guard == guard for v in syz[q])
-            or _divided(raised, koszul[q], guard)
+            or _koszul(raised, koszul, last, q, guard)
             # rewrite criterion: another reducer k whose signature divides
             # u*e_q has a multiple of that signature with a smaller leading
             # monomial than t_i*g_i, or the same one and k was added later
@@ -594,14 +588,12 @@ def _complete(red: _Reducer, canonical: list, gens: list) -> None:
         red.add(r)
         support.append(packing.support(lm))
         exps.append(unpack(lm))
-        degs.append(degree(exps[-1]))
-        excess.append(s - degs[-1])
+        excess.append(s - degree(exps[-1]))
         pos.append(q)
         us.append(u)
         at[q].append(len(lms) - 1)
         if not excess[-1]:
-            for c in koszul[q + 1:]:
-                _join(c, lm, guard)
+            _join(koszul[q], lm, guard)
 
 
 def _buchberger(ring: PolyRing, gens: list, packing: _Packing) -> list:

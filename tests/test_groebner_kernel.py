@@ -234,7 +234,8 @@ def test_kernel_matches_on_wide_rings_and_block_orders(data):
     # minutes; they are skipped. The slow engine's time grows with the basis
     # it builds: past 100 terms it took seconds to minutes, where the
     # kernel, whose signature criteria spare it most of the slow engine's
-    # reductions, can stay within its work budget
+    # reductions, can stay within its work budget. Such a basis is not
+    # compared with the slow engine's, but its members still reduce to 0
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(groebner, "MAX_REDUCTION_WORK", 2 * 10**4)
         try:
@@ -243,10 +244,10 @@ def test_kernel_matches_on_wide_rings_and_block_orders(data):
             remainders = [frozen.normal_form(f) for f in probes + members]
         except LimitExceeded:
             assume(False)
-    assume(sum(len(g.terms) for g in basis) <= 100)
-    assert list(map(str, basis)) == list(map(str, slow_groebner.buchberger(gens, order)))
-    for f, r in zip(probes + members, remainders):
-        assert r == slow_groebner.normal_form(f, basis, order)
+    if sum(len(g.terms) for g in basis) <= 100:
+        assert list(map(str, basis)) == list(map(str, slow_groebner.buchberger(gens, order)))
+        for f, r in zip(probes + members, remainders):
+            assert r == slow_groebner.normal_form(f, basis, order)
     assert not any(remainders[len(probes):])
 
 
