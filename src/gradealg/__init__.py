@@ -31,7 +31,6 @@ from .groebner import (
     ideal_member,
     ideal_power,
     ideal_sum,
-    krull_dim,
     normal_form,
 )
 from .polynomials import (

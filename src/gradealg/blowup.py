@@ -191,7 +191,7 @@ def _assoc_graded(J: Ideal, f: tuple) -> ReesPresentation:
     for lm, g in zip(basis.lms, basis):
         top = weight(lm)
         forms.append((lm, Polynomial(xy, {m: c for m, c in g.terms.items() if weight(m) == top})))
-    forms.sort(key=lambda form: GREVLEX.key(form[0]), reverse=True)
+    forms.sort(key=lambda form: GREVLEX.desc_key(form[0]))
     return ReesPresentation(
         ring=xy,
         base_ring=J.ring,

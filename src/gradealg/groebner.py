@@ -41,15 +41,14 @@ Reduction work is counted deterministically; one Buchberger run, or one
 normal form, that exceeds ``MAX_REDUCTION_WORK`` raises ``LimitExceeded``.
 
 Reduced bases are cached per (generator set, order) in a bounded LRU cache
-of ``GB_CACHE_SIZE`` entries. A cached basis keeps, packed, the integer
-reducers its Buchberger run ended with, so a normal form against it packs
-only its input; a ``GroebnerBasis`` built from a plain list packs its
-reducers on its first normal form. Nothing else in the cache changes.
+of ``GB_CACHE_SIZE`` entries. A ``GroebnerBasis`` packs its elements as
+integer reducers on its first normal form, in ``_reducer``, and keeps them;
+nothing else in the cache changes.
 
-Hilbert tables and ``krull_dim`` are read off the numerator of the Hilbert
-series of in(I) (of its radical for ``krull_dim``), graded by a (weight,
-degree) per variable and computed by Bigatti's pivot recursion (``_numerator``),
-at a cost set by the generators and the window, not by the counts (math-notes §9).
+Hilbert tables are read off the numerator of the Hilbert series of in(I),
+graded by a (weight, degree) per variable and computed by Bigatti's pivot
+recursion (``_numerator``), at a cost set by the generators and the window,
+not by the counts (math-notes §9).
 
 Membership in an ideal generated by monomials needs no basis:
 ``ideal_member`` decides it by divisibility of exponent tuples, with the same
@@ -63,7 +62,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache, partial
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import gcd
 from operator import le, mul
 from typing import NamedTuple, Sequence
@@ -381,13 +380,6 @@ class _Reducer:
         return rem, f
 
 
-class _ReducedBasis(list):
-    """The basis ``buchberger`` returns, with ``reducers``, its elements
-    packed as ``GroebnerBasis`` keeps them: ``(packing, (lms, lcs, tails))``."""
-
-    __slots__ = ("reducers",)
-
-
 def buchberger(generators: Sequence[Polynomial], order=GREVLEX) -> list:
     """Reduced Groebner basis of the given generators, as a sorted list."""
     gens = [g for g in generators if g]
@@ -625,20 +617,12 @@ def _buchberger(ring: PolyRing, gens: list, packing: _Packing) -> list:
             keep.append(i)
     # the reducers form a Groebner basis and a remainder modulo a basis is
     # unique, so reducing each kept tail once gives the reduced basis; it is
-    # made monic here, the only division over Q. Its elements stay packed as
-    # the reducers of its normal forms
-    basis, kept_lms, kept_lcs, kept_tails = _ReducedBasis(), [], [], []
+    # made monic here, the only division over Q
+    basis = []
     for i in reversed(keep):
         rem, scale = red.reduce(dict(tails[i])) if tails[i] else ([], 1)
         d = scale * lcs[i]
-        terms = [(lms[i], d)] + rem
-        basis.append(_polynomial(ring, terms, d, unpack))
-        if scale != 1 or rem != tails[i]:  # else the reducer is its normalized form
-            terms = _normalized(terms, p)
-        kept_lms.append(terms[0][0])
-        kept_lcs.append(terms[0][1])
-        kept_tails.append(terms[1:])
-    basis.reducers = (packing, (kept_lms, kept_lcs, kept_tails))
+        basis.append(_polynomial(ring, [(lms[i], d)] + rem, d, unpack))
     return basis
 
 
@@ -647,13 +631,12 @@ class GroebnerBasis:
 
     __slots__ = ("ring", "order", "polys", "lms", "_reducers")
 
-    def __init__(self, ring: PolyRing, order, polys: Sequence[Polynomial], reducers=None):
+    def __init__(self, ring: PolyRing, order, polys: Sequence[Polynomial]):
         self.ring = ring
         self.order = order
         self.polys = tuple(polys)
         self.lms = tuple(g.leading_monomial(order) for g in self.polys)
-        # (packing, (lms, lcs, tails)): ``buchberger``'s, or made once a normal form needs them
-        self._reducers = reducers
+        self._reducers = None  # (packing, (lms, lcs, tails)), made once a normal form needs them
 
     def _reducer(self, width: int) -> _Reducer:
         """A fresh ``_Reducer`` over the basis, packed at least ``width`` wide."""
@@ -680,10 +663,6 @@ class GroebnerBasis:
                 continue
             return _polynomial(self.ring, rem, scale * d, red.packing.unpack)
 
-
-    def is_unit(self) -> bool:
-        return any(sum(lm) == 0 for lm in self.lms)
-
     def leading_monomials(self) -> tuple:
         return self.lms
 
@@ -699,8 +678,7 @@ class GroebnerBasis:
 
 @lru_cache(maxsize=GB_CACHE_SIZE)
 def _cached_gb(ideal: Ideal, order) -> GroebnerBasis:
-    basis = buchberger(ideal.generators, order)
-    return GroebnerBasis(ideal.ring, order, basis, getattr(basis, "reducers", None))
+    return GroebnerBasis(ideal.ring, order, buchberger(ideal.generators, order))
 
 
 def groebner_basis(ideal: Ideal, order=GREVLEX) -> GroebnerBasis:
@@ -871,19 +849,3 @@ def hilbert_function(ideal: Ideal, degree_bound: int) -> GradedHilbert:
         tuple(counts.get((0, d), 0) for d in range(degree_bound + 1)), degree_bound
     )
 
-
-def krull_dim(ideal: Ideal) -> int:
-    """Krull dimension of ring/ideal: the order of the pole at t = 1 of the
-    Hilbert series N(t) / (1 - t)^n of S/rad(in(ideal)), which has the same
-    dimension (Bruns & Herzog §4.1); squarefree, N has no term past degree n."""
-    gb = groebner_basis(ideal)
-    if gb.is_unit():
-        raise ValueError("unit ideal has no Krull dimension")
-    n = ideal.ring.nvars
-    radical = [tuple(min(e, 1) for e in m) for m in gb.lms]
-    numerator = _numerator(radical, [0] * n, [1] * n, 0, n)
-    coeffs = [numerator.get((0, b), 0) for b in range(n + 1)]
-    while not sum(coeffs):  # N(1) = 0: exact division by 1 - t, by prefix sums
-        coeffs = list(accumulate(coeffs))[:-1]
-        n -= 1
-    return n

@@ -10,15 +10,16 @@ fields, so arithmetic only accumulates. Rings are lightweight
 descriptors (variable names + field); all values are immutable once built,
 which is what lets Groebner results be cached by value elsewhere.
 
-Monomial orders are key objects: ``order.key(mon)`` is a tuple that sorts
-ascending in the order, so ``max(terms, key=order.key)`` is the leading
-monomial; ``order.desc_key(mon)`` is a flat tuple of ints that sorts
-descending, the key's every entry negated, so a min-heap of them pops the
-largest monomial first. Each entry of ``desc_key`` is plus or minus a sum of
-exponents, or minus a positive weighted sum of them for ``WeightOrder``, so
-``desc_key`` is linear in the monomial: the Groebner kernel packs it, from
-the keys of the unit vectors, into one int per monomial. grevlex, lex, block
-orders (for elimination) and weight-then-grevlex orders are provided.
+Monomial orders are key objects defined by one key: ``order.desc_key(mon)``
+is a flat tuple of ints that sorts descending in the order, so
+``min(terms, key=order.desc_key)`` is the leading monomial and a min-heap of
+them pops the largest monomial first. ``order.key(mon)`` is derived from it,
+every entry negated, and sorts ascending. Each entry of ``desc_key`` is plus
+or minus a sum of exponents, or minus a positive weighted sum of them for
+``WeightOrder``, so ``desc_key`` is linear in the monomial: the Groebner
+kernel packs it, from the keys of the unit vectors, into one int per
+monomial. grevlex, lex, block orders (for elimination) and
+weight-then-grevlex orders are provided.
 """
 
 from __future__ import annotations
@@ -42,69 +43,45 @@ def mon_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mon_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mon_div(a: Monomial, b: Monomial) -> Monomial:
-    # caller guarantees b | a
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mon_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mon_degree(a: Monomial) -> int:
-    return sum(a)
-
-
 # ---------------------------------------------------------------------------
 # monomial orders
 
-class GrevlexOrder:
-    """Graded reverse lexicographic."""
+class _Order:
+    """An order given by ``desc_key``; equal when class and ``params`` agree."""
 
-    kind = "grevlex"
+    params = ()
 
     def key(self, mon: Monomial):
-        return (sum(mon), tuple(-e for e in reversed(mon)))
+        return tuple(-e for e in self.desc_key(mon))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.params == self.params
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.params))
+
+
+class GrevlexOrder(_Order):
+    """Graded reverse lexicographic."""
 
     def desc_key(self, mon: Monomial):
         return (-sum(mon),) + mon[::-1]
-
-    def __eq__(self, other):
-        return isinstance(other, GrevlexOrder)
-
-    def __hash__(self):
-        return hash("grevlex")
 
     def __repr__(self):
         return "grevlex"
 
 
-class LexOrder:
+class LexOrder(_Order):
     """Pure lexicographic, first variable strongest."""
-
-    kind = "lex"
-
-    def key(self, mon: Monomial):
-        return mon
 
     def desc_key(self, mon: Monomial):
         return tuple(-e for e in mon)
-
-    def __eq__(self, other):
-        return isinstance(other, LexOrder)
-
-    def __hash__(self):
-        return hash("lex")
 
     def __repr__(self):
         return "lex"
 
 
-class BlockOrder:
+class BlockOrder(_Order):
     """Compare variable blocks left to right, grevlex inside each block.
 
     With the eliminated variables in the front block this is an elimination
@@ -112,20 +89,12 @@ class BlockOrder:
     does not.
     """
 
-    kind = "block"
-
     def __init__(self, blocks: Sequence[Sequence[int]]):
         blocks = tuple(tuple(b) for b in blocks)
         seen = [i for b in blocks for i in b]
         if len(set(seen)) != len(seen):
             raise ValueError("order blocks overlap")
-        self.blocks = blocks
-
-    def key(self, mon: Monomial):
-        return tuple(
-            (sum(mon[i] for i in b), tuple(-mon[i] for i in reversed(b)))
-            for b in self.blocks
-        )
+        self.blocks = self.params = blocks
 
     def desc_key(self, mon: Monomial):
         out = []
@@ -134,17 +103,11 @@ class BlockOrder:
             out.extend(mon[i] for i in reversed(b))
         return tuple(out)
 
-    def __eq__(self, other):
-        return isinstance(other, BlockOrder) and other.blocks == self.blocks
-
-    def __hash__(self):
-        return hash(("block", self.blocks))
-
     def __repr__(self):
         return f"block{self.blocks}"
 
 
-class WeightOrder:
+class WeightOrder(_Order):
     """A positive integer weight per variable first, grevlex to break ties.
 
     The monomial of the larger weighted degree is the larger one. It refines
@@ -152,28 +115,17 @@ class WeightOrder:
     to generate the weight's initial ideal (docs/math-notes.md §11).
     """
 
-    kind = "weight"
-
     def __init__(self, weights: Sequence[int]):
         weights = tuple(weights)
         if not all(isinstance(w, int) and w > 0 for w in weights):
             raise ValueError("weights must be positive integers")
-        self.weights = weights
+        self.weights = self.params = weights
 
     def weight(self, mon: Monomial) -> int:
         return sum(map(mul, self.weights, mon))
 
-    def key(self, mon: Monomial):
-        return (self.weight(mon), sum(mon), tuple(-e for e in reversed(mon)))
-
     def desc_key(self, mon: Monomial):
         return (-self.weight(mon), -sum(mon)) + mon[::-1]
-
-    def __eq__(self, other):
-        return isinstance(other, WeightOrder) and other.weights == self.weights
-
-    def __hash__(self):
-        return hash(("weight", self.weights))
 
     def __repr__(self):
         return f"weight{self.weights}"
@@ -369,7 +321,7 @@ class Polynomial:
     def leading_monomial(self, order) -> Monomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
+        return min(self.terms, key=order.desc_key)
 
     def leading_coeff(self, order):
         return self.terms[self.leading_monomial(order)]
@@ -411,7 +363,7 @@ class Polynomial:
     # -- printing -----------------------------------------------------------
 
     def sorted_terms(self, order=GREVLEX) -> list:
-        return sorted(self.terms.items(), key=lambda mc: order.key(mc[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda mc: order.desc_key(mc[0]))
 
     def __str__(self):
         if not self.terms:

@@ -73,15 +73,14 @@ class SplitSRData(NamedTuple):
     @classmethod
     def from_split(cls, complex: SimplicialComplex, b: Iterable[int]) -> "SplitSRData":
         b = tuple(sorted(set(b)))
-        vs = set(complex.vertices)
-        if not set(b) <= vs:
+        bs, vs = set(b), set(complex.vertices)
+        if not bs <= vs:
             raise ValueError("B must be a subset of the vertex set")
-        c = tuple(sorted(vs - set(b)))
-        fb = restrict_complex(complex, b)
-        fc = restrict_complex(complex, c)
-        if fb.join(fc) != complex:
+        c = tuple(sorted(vs - bs))
+        # D = D|B * D|C iff no minimal non-face meets both B and C (math-notes §2)
+        if any(not bs.isdisjoint(s) and not bs.issuperset(s) for s in complex.minimal_nonfaces()):
             raise ValueError("complex does not split as a join along B")
-        return cls(complex, b, c, fb, fc)
+        return cls(complex, b, c, restrict_complex(complex, b), restrict_complex(complex, c))
 
 
 class BandWindow(CohomologyWindow):

@@ -121,7 +121,8 @@ INPUT_SCHEMA = {
 }
 
 
-def _envelope(command: str, payload: dict, required: list) -> dict:
+def _envelope(command: str, payload: dict) -> dict:
+    """The report schema of ``command``: every field it lists is required."""
     properties = {
         "command": {"const": command},
         "field": {"type": "string"},
@@ -133,7 +134,7 @@ def _envelope(command: str, payload: dict, required: list) -> dict:
         "title": f"gradealg {command} report",
         "type": "object",
         "properties": properties,
-        "required": ["command", "field", "variables"] + required,
+        "required": list(properties),
         "additionalProperties": False,
     }
 
@@ -175,12 +176,10 @@ OUTPUT_SCHEMAS = {
             "JC": _NULLABLE_STRING_LIST,
             "kernel_generators": _NULLABLE_STRING_LIST,
         },
-        ["isomorphic", "verified", "reason", "B", "C", "JB", "JC", "kernel_generators"],
     ),
     "presentation": _envelope(
         "presentation",
         {"rees": _PRESENTATION_BLOCK, "assoc_graded": _PRESENTATION_BLOCK},
-        ["rees", "assoc_graded"],
     ),
     "hilbert": _envelope(
         "hilbert",
@@ -189,7 +188,6 @@ OUTPUT_SCHEMAS = {
             "degree_bound": {"type": "integer"},
             "entries": _ENTRIES,
         },
-        ["level_bound", "degree_bound", "entries"],
     ),
     "cohomology": _envelope(
         "cohomology",
@@ -203,16 +201,6 @@ OUTPUT_SCHEMAS = {
             "adic_a_invariant": {"type": ["integer", "null"]},
             "cm_R": {"type": ["boolean", "null"]},
         },
-        [
-            "module",
-            "window",
-            "entries",
-            "flags",
-            "invariants",
-            "dim_R",
-            "adic_a_invariant",
-            "cm_R",
-        ],
     ),
     "gencm": _envelope(
         "gencm",
@@ -267,17 +255,6 @@ OUTPUT_SCHEMAS = {
                 "additionalProperties": False,
             },
         },
-        [
-            "gencm",
-            "case",
-            "dim_R",
-            "cm_R",
-            "precondition_A_gencm",
-            "B",
-            "C",
-            "evidence",
-            "windows",
-        ],
     ),
     "dim": _envelope(
         "dim",
@@ -287,7 +264,6 @@ OUTPUT_SCHEMAS = {
             "depth_A": {"type": "integer"},
             "a_invariant": {"type": "integer"},
         },
-        ["dim_A", "dim_R", "depth_A", "a_invariant"],
     ),
 }
 

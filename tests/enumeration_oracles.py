@@ -79,7 +79,7 @@ def krull_dim(ideal: Ideal) -> int:
     on the set. This is insensitive to the order used, so grevlex is fixed.
     """
     gb = groebner_basis(ideal)
-    if gb.is_unit():
+    if (0,) * ideal.ring.nvars in gb.lms:
         raise ValueError("unit ideal has no Krull dimension")
     supports = [frozenset(i for i, e in enumerate(lm) if e) for lm in gb.lms]
     n = ideal.ring.nvars

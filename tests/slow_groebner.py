@@ -9,15 +9,24 @@ kernel must return exactly what this returns.
 
 from itertools import combinations
 
-from gradealg.polynomials import (
-    GREVLEX,
-    Polynomial,
-    mon_degree,
-    mon_div,
-    mon_divides,
-    mon_lcm,
-    mon_mul,
-)
+from gradealg.polynomials import GREVLEX, Monomial, Polynomial, mon_mul
+
+
+def mon_divides(a: Monomial, b: Monomial) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def mon_div(a: Monomial, b: Monomial) -> Monomial:
+    # caller guarantees b | a
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def mon_lcm(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def mon_degree(a: Monomial) -> int:
+    return sum(a)
 
 
 def _canon_key(g: Polynomial, order):

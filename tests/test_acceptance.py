@@ -27,7 +27,6 @@ from gradealg import (
     hilbert_function,
     ideal_equal,
     ideal_member,
-    krull_dim,
     local_cohomology_window,
     normal_form,
     rees_presentation,
@@ -37,6 +36,7 @@ from gradealg import (
 from gradealg.cli import main
 from gradealg.criterion import decide_and_verify
 from tests.cech_oracle import local_cohomology_dim
+from tests.enumeration_oracles import krull_dim
 from tests.graded_relation import is_graded_relation
 from tests.test_polynomials import random_poly
 from tests.test_rees_cohomology import DIM_FIXTURES, sr_ideal

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from gradealg.errors import AmbientMismatch
-from gradealg.fields import GF, QQ, parse_field
+from gradealg.fields import GF, QQ, _is_prime, parse_field
 from gradealg.groebner import Ideal, groebner_basis
 from gradealg.polynomials import GREVLEX, PolyRing
 
@@ -49,6 +49,18 @@ def test_gf_rejects_nonprime():
         GF(1)
     with pytest.raises(ValueError):
         GF(-5)
+
+
+def test_primality_by_trial_division_matches_sympy():
+    # every n below 10^5, seeded 31-bit draws, the largest characteristic
+    # and strong pseudoprimes to the bases 2 (2047 and up) and 2, 3, 5
+    # (25326001)
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(31)
+    draws = [rng.randrange(2**30, 2**31) for _ in range(300)]
+    pseudoprimes = [2047, 3277, 4033, 4681, 8321, 25326001]
+    for n in [*range(10**5), *draws, 2**31 - 1, *pseudoprimes]:
+        assert _is_prime(n) == sympy.isprime(n), n
 
 
 def test_gf_large_prime_accepted():

@@ -1,5 +1,5 @@
-"""The numerator route of ``count_standard_monomials`` and ``krull_dim``
-against the enumerating oracles of ``tests/enumeration_oracles.py``."""
+"""The numerator route of ``count_standard_monomials`` against the
+enumerating oracle of ``tests/enumeration_oracles.py``."""
 
 import json
 import random
@@ -7,16 +7,14 @@ import random
 import pytest
 
 from gradealg import groebner
-from gradealg.blowup import assoc_graded_presentation, rees_presentation
 from gradealg.cli import main
 from gradealg.errors import LimitExceeded
-from gradealg.fields import GF, QQ
-from gradealg.groebner import Ideal, count_standard_monomials, ideal_member, krull_dim
+from gradealg.fields import QQ
+from gradealg.groebner import Ideal, count_standard_monomials, ideal_member
 from gradealg.polynomials import PolyRing
 from tests import enumeration_oracles as oracle
 from tests.downstairs_hilbert import downstairs_bigraded_hilbert
 from tests.test_blowup import _random_homogeneous
-from tests.test_polynomials import random_poly
 
 
 def _random_lms(rng, n):
@@ -82,38 +80,6 @@ def test_numerator_route_refuses_exactly_where_the_enumerator_does(monkeypatch):
                     outcomes.append(str(exc))
             assert outcomes[0] == outcomes[1], (args, budget)
             assert (outcomes[0] == f"more than {budget} standard monomials to count") == (total > budget)
-
-
-@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
-def test_krull_dim_matches_subset_scan_on_random_ideals(field):
-    rng = random.Random(9004)
-    units = 0
-    for _ in range(120):
-        R = PolyRing(tuple(f"x{i}" for i in range(rng.randrange(0, 6))), field)
-        ideal = Ideal(R, [random_poly(rng, R, max_terms=3, max_exp=3) for _ in range(rng.randrange(0, 4))])
-        try:
-            expected = oracle.krull_dim(ideal)
-        except ValueError:
-            units += 1
-            with pytest.raises(ValueError):
-                krull_dim(ideal)
-            continue
-        assert krull_dim(ideal) == expected, ideal
-    assert units  # the unit ideal is among the cases
-
-
-def test_krull_dim_matches_subset_scan_on_rees_presentations():
-    rng = random.Random(9005)
-    checked = 0
-    while checked < 25:
-        R = PolyRing(tuple(f"x{i}" for i in range(1, rng.randrange(2, 5))), QQ)
-        J = Ideal(R, [_random_homogeneous(R, rng, 2) for _ in range(rng.randrange(0, 2))])
-        f = [_random_homogeneous(R, rng, rng.randrange(1, 3)) for _ in range(rng.randrange(1, 3))]
-        if any(ideal_member(g, J) for g in f):
-            continue
-        for pres in (rees_presentation(J, f), assoc_graded_presentation(J, f)):
-            assert krull_dim(pres.defining) == oracle.krull_dim(pres.defining), (J, f)
-        checked += 1
 
 
 def test_hilbert_cli_exits_two_exactly_over_the_budget(tmp_path, monkeypatch, capsys):

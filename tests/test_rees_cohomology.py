@@ -19,7 +19,6 @@ from gradealg import (
     decide_cm_rees,
     decide_gencm,
     dim_rees,
-    krull_dim,
     local_cohomology_window,
     rees_presentation,
     restrict_complex,
@@ -28,6 +27,7 @@ from gradealg import (
 from tests import convolution_oracle as oracle
 from tests.cech_oracle import local_cohomology_dim
 from tests.direct_profile import adic_a_invariant
+from tests.enumeration_oracles import krull_dim
 from tests.test_simplicial import RP2_FACETS, random_complex
 
 TWO_POINTS = SimplicialComplex(range(2), [(0,), (1,)])
@@ -70,6 +70,33 @@ def test_from_split_accepts_joins_and_rejects_others():
         SplitSRData.from_split(PATH, (7,))
     trivial = SplitSRData.from_split(CIRCLE, ())
     assert trivial.factor_c == CIRCLE
+
+
+def test_from_split_accepts_exactly_the_joins_of_the_restrictions():
+    # the minimal non-face rule of ``from_split`` against the join of the
+    # two full subcomplexes, on random complexes of up to 7 vertices: half
+    # of them built as joins, split at random or along the join
+    rng = random.Random(2700)
+    verdicts = set()
+    for _ in range(2000):
+        n = rng.randint(1, 7)
+        k = rng.randint(1, n - 1) if n > 1 and rng.random() < 0.5 else 0
+        if k:
+            complex = random_complex(rng, range(k)).join(random_complex(rng, range(k, n)))
+        else:
+            complex = random_complex(rng, range(n))
+        b = range(k) if k and rng.random() < 0.5 else [v for v in range(n) if rng.random() < 0.5]
+        c = set(range(n)).difference(b)
+        joins = restrict_complex(complex, b).join(restrict_complex(complex, c)) == complex
+        try:
+            SplitSRData.from_split(complex, b)
+        except ValueError as exc:
+            assert str(exc) == "complex does not split as a join along B"
+            assert not joins, (complex, b)
+        else:
+            assert joins, (complex, b)
+        verdicts.add(joins)
+    assert verdicts == {True, False}
 
 
 def test_band_matches_bivariate_cech():
