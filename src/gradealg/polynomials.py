@@ -13,9 +13,8 @@ which is what lets Groebner results be cached by value elsewhere.
 Monomial orders are key objects defined by one key: ``order.desc_key(mon)``
 is a flat tuple of ints that sorts descending in the order, so
 ``min(terms, key=order.desc_key)`` is the leading monomial and a min-heap of
-them pops the largest monomial first. ``order.key(mon)`` is derived from it,
-every entry negated, and sorts ascending. Each entry of ``desc_key`` is plus
-or minus a sum of exponents, or minus a positive weighted sum of them for
+them pops the largest monomial first. Each entry of ``desc_key`` is plus or
+minus a sum of exponents, or minus a positive weighted sum of them for
 ``WeightOrder``, so ``desc_key`` is linear in the monomial: the Groebner
 kernel packs it, from the keys of the unit vectors, into one int per
 monomial. grevlex, lex, block orders (for elimination) and
@@ -50,9 +49,6 @@ class _Order:
     """An order given by ``desc_key``; equal when class and ``params`` agree."""
 
     params = ()
-
-    def key(self, mon: Monomial):
-        return tuple(-e for e in self.desc_key(mon))
 
     def __eq__(self, other):
         return type(other) is type(self) and other.params == self.params

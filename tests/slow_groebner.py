@@ -3,13 +3,54 @@
 This is the engine ``gradealg.groebner`` used before its term-list kernel:
 the same pair criteria (coprime leading monomials, chain criterion) and
 sugar selection, but every division step builds a new ``Polynomial`` and
-every comparison recomputes ``order.key``. Reduced bases are unique, so the
-kernel must return exactly what this returns.
+every comparison recomputes ``oracle_key``, each order's key written from its
+definition rather than derived from the ``desc_key`` the kernel packs.
+Reduced bases are unique, so the kernel must return exactly what this
+returns.
 """
 
 from itertools import combinations
+from operator import mul
 
-from gradealg.polynomials import GREVLEX, Monomial, Polynomial, mon_mul
+from gradealg.polynomials import (
+    GREVLEX,
+    BlockOrder,
+    GrevlexOrder,
+    LexOrder,
+    Monomial,
+    Polynomial,
+    WeightOrder,
+    mon_mul,
+)
+
+
+def oracle_key(order, mon: Monomial):
+    """A tuple that sorts ``mon`` ascending in ``order``.
+
+    Written out per order class; an order defined in a test brings its own
+    ``key``.
+    """
+    grevlex = (sum(mon), tuple(-e for e in reversed(mon)))
+    if isinstance(order, GrevlexOrder):
+        return grevlex
+    if isinstance(order, LexOrder):
+        return mon
+    if isinstance(order, BlockOrder):
+        return tuple(
+            (sum(mon[i] for i in b), tuple(-mon[i] for i in reversed(b)))
+            for b in order.blocks
+        )
+    if isinstance(order, WeightOrder):
+        return (sum(map(mul, order.weights, mon)),) + grevlex
+    return order.key(mon)
+
+
+def leading_monomial(f: Polynomial, order) -> Monomial:
+    return max(f.terms, key=lambda m: oracle_key(order, m))
+
+
+def monic(f: Polynomial, order) -> Polynomial:
+    return f * f.ring.field.from_fraction(1, f.terms[leading_monomial(f, order)])
 
 
 def mon_divides(a: Monomial, b: Monomial) -> bool:
@@ -30,12 +71,8 @@ def mon_degree(a: Monomial) -> int:
 
 
 def _canon_key(g: Polynomial, order):
-    terms = g.sorted_terms(order)
-    return (
-        order.key(terms[0][0]),
-        tuple(order.key(m) for m, _ in terms),
-        str(g),
-    )
+    keys = sorted((oracle_key(order, m) for m in g.terms), reverse=True)
+    return (keys[0], tuple(keys), str(g))
 
 
 def reduce_full(f: Polynomial, basis, order) -> Polynomial:
@@ -45,7 +82,7 @@ def reduce_full(f: Polynomial, basis, order) -> Polynomial:
     remainder: dict = {}
     h = f
     while h.terms:
-        lm = h.leading_monomial(order)
+        lm = leading_monomial(h, order)
         lc = h.terms[lm]
         for glm, g in basis:
             if mon_divides(glm, lm):
@@ -59,7 +96,7 @@ def reduce_full(f: Polynomial, basis, order) -> Polynomial:
 
 def spoly(f: Polynomial, g: Polynomial, order) -> Polynomial:
     # f, g monic
-    lmf, lmg = f.leading_monomial(order), g.leading_monomial(order)
+    lmf, lmg = leading_monomial(f, order), leading_monomial(g, order)
     lcm = mon_lcm(lmf, lmg)
     ring = f.ring
     return f * ring.monomial(mon_div(lcm, lmf)) - g * ring.monomial(mon_div(lcm, lmg))
@@ -72,12 +109,12 @@ def buchberger(generators, order=GREVLEX) -> list:
         return []
     work = []
     for g in gens:
-        gm = g.monic(order)
+        gm = monic(g, order)
         if gm not in work:
             work.append(gm)
     work.sort(key=lambda g: _canon_key(g, order))
 
-    lms = [g.leading_monomial(order) for g in work]
+    lms = [leading_monomial(g, order) for g in work]
     # sugar: a generator's is its total degree, a pair's the larger of
     # sugar_i + deg t_i and sugar_j + deg t_j, a new element takes its pair's
     sugar = [g.total_degree() for g in work]
@@ -111,10 +148,10 @@ def buchberger(generators, order=GREVLEX) -> list:
         s = spoly(work[i], work[j], order)
         r = reduce_full(s, list(zip(lms, work)), order)
         if r:
-            r = r.monic(order)
+            r = monic(r, order)
             new = len(work)
             work.append(r)
-            lms.append(r.leading_monomial(order))
+            lms.append(leading_monomial(r, order))
             sugar.append(sugar_ij)
             for k in range(new):
                 queue(k, new)
@@ -122,7 +159,7 @@ def buchberger(generators, order=GREVLEX) -> list:
     # minimal basis: visit by ascending leading monomial, keep an element only
     # if no kept leading monomial divides its own (equal ones keep the first)
     keep = []
-    for i in sorted(range(len(work)), key=lambda i: order.key(lms[i])):
+    for i in sorted(range(len(work)), key=lambda i: oracle_key(order, lms[i])):
         if not any(mon_divides(lms[j], lms[i]) for j in keep):
             keep.append(i)
     reduced = [work[i] for i in keep]
@@ -134,18 +171,18 @@ def buchberger(generators, order=GREVLEX) -> list:
         changed = False
         for i in range(len(reduced)):
             others = [
-                (g.leading_monomial(order), g)
+                (leading_monomial(g, order), g)
                 for j, g in enumerate(reduced)
                 if j != i
             ]
-            r = reduce_full(reduced[i], others, order).monic(order)
+            r = monic(reduce_full(reduced[i], others, order), order)
             if r != reduced[i]:
                 reduced[i] = r
                 changed = True
-    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
+    reduced.sort(key=lambda g: oracle_key(order, leading_monomial(g, order)), reverse=True)
     return reduced
 
 
 def normal_form(f: Polynomial, basis, order=GREVLEX) -> Polynomial:
     """Remainder of f modulo a reduced basis (a list of monic polynomials)."""
-    return reduce_full(f, [(g.leading_monomial(order), g) for g in basis], order)
+    return reduce_full(f, [(leading_monomial(g, order), g) for g in basis], order)
