@@ -11,7 +11,6 @@ from .blowup import (
 from .criterion import (
     IsoDecision,
     SplitWitness,
-    decide_and_verify,
     decide_iso,
     split_check,
     variable_subset_basis,
@@ -27,7 +26,6 @@ from .groebner import (
     elimination_ideal,
     groebner_basis,
     hilbert_function,
-    ideal_equal,
     ideal_member,
     ideal_power,
     ideal_sum,

@@ -264,7 +264,7 @@ def presentation_bigraded_hilbert(
     is the table of ``bigraded_hilbert``.
     """
     _check_bounds(level_bound, degree_bound)
-    lms = groebner_basis(pres.defining).leading_monomials()
+    lms = groebner_basis(pres.defining).lms
     return _table(lms, len(pres.x_names), pres.y_degrees, level_bound, degree_bound)
 
 

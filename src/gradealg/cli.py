@@ -7,12 +7,15 @@ decision, 3 for a negative decision, 1 for input errors, 2 when an
 internal limit is exceeded, 4 when an internal self-check fails.
 
 ``main`` runs every request: it loads and validates the problem
-description, parses the field, builds the ``_Problem`` and calls the
-command's handler in ``_COMMANDS`` with the problem, the description and
-the parsed arguments. The handler returns ``(fields, lines, code)``: the
-report fields past the ``command``/``field``/``variables`` envelope, the
-stdout lines and the exit code. ``main`` adds the envelope, validates the
-report against its output schema, writes ``--json`` and prints the lines.
+description, parses the field, builds the ``_Problem``, the one place a
+spec turns into a ring, I, and J or a complex, and calls the command's
+handler in ``_COMMANDS`` with the problem, the description and the parsed
+arguments. ``_COMMANDS`` is the one command table: dispatch, both argv
+readers and the ``--help`` epilog read it. The handler returns
+``(fields, lines, code)``: the report fields past the
+``command``/``field``/``variables`` envelope, the stdout lines and the exit
+code. ``main`` adds the envelope, validates the report against its output
+schema, writes ``--json`` and prints the lines.
 
 ``_parse_args`` reads argv with ``_read_argv`` first. Both it and the
 argparse parser of ``_build_parser`` take their options from ``_OPTIONS``.
@@ -39,7 +42,6 @@ import sys
 from functools import cached_property
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable
 
 from . import schemas
 from .blowup import (
@@ -110,46 +112,34 @@ def _minimal_nonface_ideal(ring: PolyRing, complex: SimplicialComplex) -> Ideal:
 
 
 class _Problem:
-    """A problem's ring and I; its complex is built only where needed, and
-    J on its first read.
+    """A spec's ring, I, and the J or complex it gives; the other of the two
+    is built on its first read.
 
-    For a facets spec J is the minimal non-face ideal, which only
-    ``check-iso``, ``presentation``, ``hilbert`` and the B of a
-    non-monomial I read: ``dim``, ``cohomology`` and ``gencm`` read B off
-    the complex (``_variable_basis``) and never build J as polynomials.
+    A ``J`` spec parses J and builds its complex only for ``dim``,
+    ``cohomology`` and ``gencm``. A ``facets`` spec builds the complex and
+    its minimal non-faces at once, so the face budget is met before I is
+    parsed on every command; its J, the minimal non-face ideal, is read
+    only by ``check-iso``, ``presentation``, ``hilbert`` and the B of a
+    non-monomial I: ``dim``, ``cohomology`` and ``gencm`` read B off the
+    complex (``_variable_basis``) and never build J as polynomials.
     """
 
-    def __init__(
-        self,
-        ring: PolyRing,
-        i_polys: list,
-        make_complex: Callable[[], SimplicialComplex],
-        make_j: Callable[[], Ideal],
-    ):
-        self.ring = ring
-        self.i_polys = i_polys
-        self.make_complex = make_complex
-        self._make_j = make_j
+    def __init__(self, spec: dict, field):
+        self.ring = ring = PolyRing(tuple(spec["variables"]), field)
+        if "J" in spec:
+            self.J = Ideal.parse(ring, spec["J"])
+        else:
+            self.complex = _complex_from_facets(ring, spec["facets"])
+            self.complex.minimal_nonfaces()  # the face budget, before I
+        self.i_polys = [ring.parse(t) for t in spec["I"]]
+
+    @cached_property
+    def complex(self) -> SimplicialComplex:
+        return SimplicialComplex.from_ideal(self.J)
 
     @cached_property
     def J(self) -> Ideal:
-        return self._make_j()
-
-
-def _problem(spec: dict, field) -> _Problem:
-    ring = PolyRing(tuple(spec["variables"]), field)
-    if "J" in spec:
-        J = Ideal.parse(ring, spec["J"])
-        make_complex = lambda: SimplicialComplex.from_ideal(J)
-        make_j = lambda: J
-    else:
-        cx = _complex_from_facets(ring, spec["facets"])
-        # eager, so the face budget is met first on every command
-        cx.minimal_nonfaces()
-        make_complex = lambda: cx
-        make_j = lambda: _minimal_nonface_ideal(ring, cx)
-    i_polys = [ring.parse(t) for t in spec["I"]]
-    return _Problem(ring, i_polys, make_complex, make_j)
+        return _minimal_nonface_ideal(self.ring, self.complex)
 
 
 def _window_entries(table: dict) -> list:
@@ -281,7 +271,7 @@ def _cmd_hilbert(problem: _Problem, spec: dict, args) -> tuple:
 def _cmd_cohomology(problem: _Problem, spec: dict, args) -> tuple:
     field = problem.ring.field
     lo, hi = _window_for(spec, args)
-    complex = problem.make_complex()
+    complex = problem.complex
     inv = sr_invariants(complex, field)
     invariants = {
         "dim_A": inv.dim,
@@ -326,7 +316,7 @@ def _cmd_cohomology(problem: _Problem, spec: dict, args) -> tuple:
 def _cmd_gencm(problem: _Problem, spec: dict, args) -> tuple:
     field = problem.ring.field
     lo, hi = _window_for(spec, args)
-    complex = problem.make_complex()
+    complex = problem.complex
     data = SplitSRData.from_split(complex, _variable_basis(problem, complex))
     verdict = decide_gencm(data, field)
     window_a = local_cohomology_window(complex, field)
@@ -358,7 +348,7 @@ def _cmd_gencm(problem: _Problem, spec: dict, args) -> tuple:
 
 
 def _cmd_dim(problem: _Problem, spec: dict, args) -> tuple:
-    complex = problem.make_complex()
+    complex = problem.complex
     b = _variable_basis(problem, complex)
     inv = sr_invariants(complex, problem.ring.field)
     report = {
@@ -380,7 +370,6 @@ _COMMANDS = {
     "gencm": (_cmd_gencm, "decide generalized Cohen-Macaulayness of the Rees ring"),
     "dim": (_cmd_dim, "dimension, depth and a-invariant data"),
 }
-_HANDLERS = {name: handler for name, (handler, _) in _COMMANDS.items()}
 
 
 # long option -> (help, choices), in --help order; both parsers read this
@@ -405,7 +394,7 @@ def _read_argv(argv) -> SimpleNamespace | None:
         if token == "--allow-linear":
             fields["allow_linear"] = True
         elif not token.startswith("-"):
-            if fields["command"] is not None or token not in _HANDLERS:
+            if fields["command"] is not None or token not in _COMMANDS:
                 return None
             fields["command"] = token
         else:
@@ -446,7 +435,7 @@ def _build_parser():
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
-        "command", choices=_HANDLERS, metavar="command", help="one of the commands below"
+        "command", choices=_COMMANDS, metavar="command", help="one of the commands below"
     )
     for name, (summary, choices) in _OPTIONS.items():
         if name == "--allow-linear":
@@ -475,8 +464,8 @@ def main(argv=None) -> int:
             spec = json.load(fh)
         schemas.validate_input(spec)
         field = parse_field(spec.get("field", "Q") if args.field is None else args.field)
-        problem = _problem(spec, field)
-        fields, lines, code = _HANDLERS[args.command](problem, spec, args)
+        problem = _Problem(spec, field)
+        fields, lines, code = _COMMANDS[args.command][0](problem, spec, args)
         report = {
             "command": args.command,
             "field": field.name,

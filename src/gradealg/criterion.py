@@ -185,12 +185,3 @@ def _divides(divisors: Ideal, ideal: Ideal) -> bool:
     basis = GroebnerBasis(divisors.ring, GREVLEX, divisors.generators)
     return not any(basis.normal_form(g) for g in ideal.generators)
 
-
-def decide_and_verify(J: Ideal, i_gens, allow_linear: bool = False) -> IsoDecision:
-    """decide_iso plus the constructive certificate on positive answers."""
-    decision = decide_iso(J, i_gens, allow_linear)
-    if not decision.isomorphic:
-        return decision
-    return IsoDecision(
-        True, decision.witness, None, verified=verify_iso_witness(J, decision.witness)
-    )

@@ -50,10 +50,11 @@ graded by a (weight, degree) per variable and computed by Bigatti's pivot
 recursion (``_numerator``), at a cost set by the generators and the window,
 not by the counts (math-notes §9).
 
-Membership in an ideal generated by monomials needs no basis:
-``ideal_member`` decides it by divisibility of exponent tuples, with the same
-answer for every field and order (math-notes §10). Every other ideal goes
-through the normal form modulo its cached basis.
+Membership does not depend on the monomial order, so ``ideal_member``
+takes none. An ideal generated by monomials needs no basis: membership is
+decided by divisibility of exponent tuples, with the same answer for every
+field and order (math-notes §10). Every other ideal goes through the normal
+form modulo its cached grevlex basis.
 """
 
 from __future__ import annotations
@@ -102,9 +103,6 @@ class Ideal:
     @classmethod
     def parse(cls, ring: PolyRing, texts: Sequence[str]) -> "Ideal":
         return cls(ring, [ring.parse(t) for t in texts])
-
-    def is_zero(self) -> bool:
-        return not self.generators
 
     def __eq__(self, other):
         return (
@@ -663,9 +661,6 @@ class GroebnerBasis:
                 continue
             return _polynomial(self.ring, rem, scale * d, red.packing.unpack)
 
-    def leading_monomials(self) -> tuple:
-        return self.lms
-
     def __iter__(self):
         return iter(self.polys)
 
@@ -696,21 +691,14 @@ def _divisible(f: Polynomial, exponents: list) -> bool:
     return all(any(all(map(le, m, t)) for m in exponents) for t in f.terms)
 
 
-def ideal_member(f: Polynomial, ideal: Ideal, order=GREVLEX) -> bool:
-    """Whether f lies in the ideal; by divisibility when monomials generate it."""
+def ideal_member(f: Polynomial, ideal: Ideal) -> bool:
+    """Whether f lies in the ideal; by divisibility when monomials generate it,
+    else by its normal form modulo the cached grevlex basis."""
     if f.ring != ideal.ring:
         raise AmbientMismatch("polynomial outside the basis ring")
     if all(len(g.terms) == 1 for g in ideal.generators):
         return _divisible(f, [next(iter(g.terms)) for g in ideal.generators])
-    return not normal_form(f, ideal, order)
-
-
-def ideal_equal(a: Ideal, b: Ideal) -> bool:
-    if a.ring != b.ring:
-        raise AmbientMismatch("ideals in different rings")
-    return all(ideal_member(g, b) for g in a.generators) and all(
-        ideal_member(g, a) for g in b.generators
-    )
+    return not normal_form(f, ideal)
 
 
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
@@ -843,7 +831,7 @@ def hilbert_function(ideal: Ideal, degree_bound: int) -> GradedHilbert:
         raise ValueError("negative degree bound")
     n = ideal.ring.nvars
     counts = count_standard_monomials(
-        groebner_basis(ideal).leading_monomials(), [0] * n, [1] * n, 0, degree_bound
+        groebner_basis(ideal).lms, [0] * n, [1] * n, 0, degree_bound
     )
     return GradedHilbert(
         tuple(counts.get((0, d), 0) for d in range(degree_bound + 1)), degree_bound

@@ -229,9 +229,6 @@ class Polynomial:
 
     # -- basic predicates ---------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -319,12 +316,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading monomial")
         return min(self.terms, key=order.desc_key)
 
-    def leading_coeff(self, order):
-        return self.terms[self.leading_monomial(order)]
-
-    def monic(self, order) -> "Polynomial":
-        return self * self.ring.field.from_fraction(1, self.leading_coeff(order))
-
     # -- structure ----------------------------------------------------------
 
     def rename_into(self, target: PolyRing, name_map: Optional[dict] = None) -> "Polynomial":
@@ -358,15 +349,12 @@ class Polynomial:
 
     # -- printing -----------------------------------------------------------
 
-    def sorted_terms(self, order=GREVLEX) -> list:
-        return sorted(self.terms.items(), key=lambda mc: order.desc_key(mc[0]))
-
     def __str__(self):
         if not self.terms:
             return "0"
         names = self.ring.variables
         pieces = []
-        for m, c in self.sorted_terms():
+        for m, c in sorted(self.terms.items(), key=lambda mc: GREVLEX.desc_key(mc[0])):
             mono = "*".join(
                 n if e == 1 else f"{n}^{e}" for n, e in zip(names, m) if e
             )

@@ -150,14 +150,6 @@ class SimplicialComplex:
         link._set(tuple(v for v in self.vertices if v not in s), facets)
         return link
 
-    def join(self, other: "SimplicialComplex") -> "SimplicialComplex":
-        if set(self.vertices) & set(other.vertices):
-            raise ValueError("join needs disjoint vertex sets")
-        return SimplicialComplex(
-            self.vertices + other.vertices,
-            [f | g for f in self.facets for g in other.facets],
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, SimplicialComplex)

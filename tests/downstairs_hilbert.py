@@ -19,7 +19,7 @@ def downstairs_bigraded_hilbert(J: Ideal, f, level_bound: int, degree_bound: int
 
     def quotient_dims(n: int):
         power = ideal_power(I, n, bound=level_bound + 1)
-        lms = groebner_basis(ideal_sum(power, J)).leading_monomials()
+        lms = groebner_basis(ideal_sum(power, J)).lms
         nvars = J.ring.nvars
         counts = count_standard_monomials(lms, [0] * nvars, [1] * nvars, 0, degree_bound)
         return [counts.get((0, d), 0) for d in range(degree_bound + 1)]

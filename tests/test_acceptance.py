@@ -25,7 +25,6 @@ from gradealg import (
     dim_rees,
     groebner_basis,
     hilbert_function,
-    ideal_equal,
     ideal_member,
     local_cohomology_window,
     normal_form,
@@ -34,10 +33,11 @@ from gradealg import (
     window_table,
 )
 from gradealg.cli import main
-from gradealg.criterion import decide_and_verify
 from tests.cech_oracle import local_cohomology_dim
 from tests.enumeration_oracles import krull_dim
 from tests.graded_relation import is_graded_relation
+from tests.test_criterion import decide_and_verify
+from tests.test_groebner import ideal_equal
 from tests.test_polynomials import random_poly
 from tests.test_rees_cohomology import DIM_FIXTURES, sr_ideal
 from tests.test_simplicial import RP2_FACETS

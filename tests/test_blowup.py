@@ -14,7 +14,6 @@ from gradealg.blowup import (
     rees_presentation,
 )
 from gradealg import blowup, groebner
-from gradealg.criterion import decide_and_verify
 from gradealg.errors import LimitExceeded
 from gradealg.fields import GF, QQ
 from gradealg.groebner import Ideal, count_standard_monomials, hilbert_function, ideal_member
@@ -23,6 +22,7 @@ from tests import slow_groebner
 from tests.downstairs_hilbert import downstairs_bigraded_hilbert
 from tests.graded_relation import is_graded_relation
 from tests.rees_oracle import assoc_graded_from_rees, slow_assoc_graded
+from tests.test_criterion import decide_and_verify
 
 
 def setup(names, j_texts, i_texts, field=QQ):

@@ -126,6 +126,39 @@ def test_big_facet_exceeds_the_face_budget(capsys, command):
     assert "exceed the face budget" in capsys.readouterr().err
 
 
+def test_big_facet_with_a_bad_i_exceeds_the_face_budget(tmp_path, capsys):
+    # the face budget is met before I is parsed
+    spec = json.loads((DATA / "bigfacet.json").read_text())
+    spec["I"] = ["x1 +"]
+    path = tmp_path / "bigfacet_bad_i.json"
+    path.write_text(json.dumps(spec))
+    assert main(["dim", "--input", str(path)]) == 2
+    assert "exceed the face budget" in capsys.readouterr().err
+
+
+def test_bad_j_is_reported_before_bad_i(tmp_path, capsys):
+    path = tmp_path / "bad_j_and_i.json"
+    path.write_text(json.dumps({"variables": ["x1", "x2"], "J": ["x9"], "I": ["x2 +"]}))
+    assert main(["dim", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == "error: unknown variable 'x9'\n"
+
+
+@pytest.mark.parametrize("argv", [["dim"], ["cohomology", "--module", "R"], ["gencm"]])
+def test_j_spec_builds_its_complex_once(monkeypatch, argv):
+    from gradealg.simplicial import SimplicialComplex
+
+    calls = []
+    original = SimplicialComplex.from_ideal.__func__
+
+    def counting(cls, J):
+        calls.append(J)
+        return original(cls, J)
+
+    monkeypatch.setattr(SimplicialComplex, "from_ideal", classmethod(counting))
+    assert main([*argv, "--input", str(DATA / "twopoints.json")]) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("argv", [["dim"], ["cohomology"], ["cohomology", "--module", "R"]])
 def test_facets_spec_finds_its_minimal_nonfaces_once(monkeypatch, argv):
     from gradealg import simplicial
@@ -140,7 +173,7 @@ def test_facets_spec_finds_its_minimal_nonfaces_once(monkeypatch, argv):
 
     monkeypatch.setattr(simplicial, "_minimal_nonfaces", recording)
     assert main([*argv, "--input", str(DATA / "path.json")]) == 0
-    # the spec's complex first, eagerly in _problem; no complex a second time
+    # the spec's complex first, eagerly in _Problem; no complex a second time
     assert enumerated[0][0] == (0, 1, 2)
     assert len(set(enumerated)) == len(enumerated)
 
@@ -471,13 +504,13 @@ def test_failed_self_check_is_an_internal_error(monkeypatch, capsys):
 def test_report_failing_its_schema_is_an_internal_error(monkeypatch, capsys):
     from gradealg import cli
 
-    handler = cli._HANDLERS["dim"]
+    handler, summary = cli._COMMANDS["dim"]
 
     def drifted(problem, spec, args):
         fields, lines, code = handler(problem, spec, args)
         return {**fields, "dim_R": "three"}, lines, code
 
-    monkeypatch.setitem(cli._HANDLERS, "dim", drifted)
+    monkeypatch.setitem(cli._COMMANDS, "dim", (drifted, summary))
     assert main(["dim", "--input", str(DATA / "path.json")]) == 4
     out, err = capsys.readouterr()
     assert out == ""
@@ -673,7 +706,7 @@ def test_combinatorial_b_matches_variable_subset_basis(field):
         spec = {"variables": [f"x{v}" for v in range(1, n + 1)], "facets": facets, "I": []}
         complex = cli._complex_from_facets(PolyRing(spec["variables"], QQ), facets)
         spec["I"] = _draw_i(rng, n, complex)
-        problem = cli._problem(spec, parse_field(field))
+        problem = cli._Problem(spec, parse_field(field))
         got = outcome(cli._variable_basis, problem, complex)
         assert got == outcome(oracle, problem, complex), spec
         monomial = all(len(g.terms) <= 1 for g in problem.i_polys)

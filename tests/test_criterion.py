@@ -6,18 +6,29 @@ import pytest
 
 from gradealg.blowup import assoc_graded_presentation, presentation_bigraded_hilbert
 from gradealg.criterion import (
+    IsoDecision,
     _verify_iso_witness,
-    decide_and_verify,
     decide_iso,
     split_check,
     variable_subset_basis,
     verify_iso_witness,
 )
 from gradealg.fields import GF, QQ
-from gradealg.groebner import Ideal, elimination_ideal, ideal_equal, ideal_member, ideal_sum
+from gradealg.groebner import Ideal, elimination_ideal, ideal_member, ideal_sum
 from gradealg.polynomials import PolyRing
 from tests.downstairs_hilbert import downstairs_bigraded_hilbert
+from tests.test_groebner import ideal_equal
 from tests.test_polynomials import random_poly
+
+
+def decide_and_verify(J: Ideal, i_gens, allow_linear: bool = False) -> IsoDecision:
+    """decide_iso plus the constructive certificate on positive answers."""
+    decision = decide_iso(J, i_gens, allow_linear)
+    if not decision.isomorphic:
+        return decision
+    return IsoDecision(
+        True, decision.witness, None, verified=verify_iso_witness(J, decision.witness)
+    )
 
 
 def setup(names, j_texts, i_texts, field=QQ):

@@ -10,6 +10,7 @@ from gradealg.errors import AmbientMismatch
 from gradealg.fields import GF, QQ, _is_prime, parse_field
 from gradealg.groebner import Ideal, groebner_basis
 from gradealg.polynomials import GREVLEX, PolyRing
+from tests.slow_groebner import monic
 
 
 def test_rational_basics():
@@ -37,7 +38,7 @@ def test_gf_basics():
     assert c(1) * F.from_fraction(1, 3) == c(5)
     assert -c(2) == c(5)
     assert c(3) ** 6 == R.one
-    assert c(3).monic(GREVLEX) == R.one
+    assert monic(c(3), GREVLEX) == R.one
     assert not c(7)
     assert R.one
 
@@ -206,9 +207,9 @@ def test_gf_arithmetic_matches_reduced_rational_arithmetic():
             assert result.terms == {m: c for m, c in expected.items() if c}
             _assert_residues(result.rename_into(wider), p)
             if result:
-                monic = result.monic(GREVLEX)
-                _assert_residues(monic, p)
-                assert monic.leading_coeff(GREVLEX) == 1
+                normed = monic(result, GREVLEX)
+                _assert_residues(normed, p)
+                assert normed.terms[normed.leading_monomial(GREVLEX)] == 1
         basis = groebner_basis(Ideal(ring, [f, g]))
         for b in basis:
             _assert_residues(b, p)

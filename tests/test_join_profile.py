@@ -19,7 +19,7 @@ from gradealg import (
 from gradealg import simplicial
 from gradealg.simplicial import _join_factors, _profile
 from tests.direct_profile import direct_profile
-from tests.test_simplicial import RP2_FACETS
+from tests.test_simplicial import RP2_FACETS, join
 
 FIELDS = (QQ, GF(2), GF(3))
 RP2 = SimplicialComplex(range(6), RP2_FACETS)
@@ -59,13 +59,13 @@ def _random_cases(seed: int) -> list:
         a, b = rng.randint(1, 4), rng.randint(1, 4)
         first = _random_complex(rng, list(range(a)))
         second = _random_complex(rng, list(range(a, a + b)))
-        joins.append(first.join(second))
+        joins.append(join(first, second))
     triples = []
     for _ in range(5):
         parts = [_random_complex(rng, [3 * k, 3 * k + 1, 3 * k + 2]) for k in range(3)]
-        triples.append(reduce(SimplicialComplex.join, parts))
+        triples.append(reduce(join, parts))
     cones = [
-        c.join(SimplicialComplex([7], [(7,)])) for c in singles[:10]
+        join(c, SimplicialComplex([7], [(7,)])) for c in singles[:10]
     ]
     return singles + joins + triples + cones
 
@@ -80,7 +80,7 @@ def test_profile_matches_oracle_on_random_complexes_joins_and_cones(complex):
     [
         RP2,
         CONE_RP2,
-        RP2.join(C4),
+        join(RP2, C4),
         SimplicialComplex(range(4), [(0, 1), (1, 2)]),  # vertex 3 is a ghost
         SimplicialComplex(range(3), []),  # {empty} on three ghost vertices
         SimplicialComplex([], []),  # no vertices
@@ -103,7 +103,7 @@ def test_join_factors_are_prime_and_rebuild_the_complex(complex):
     factors = _join_factors(complex)
     blocks = [set(f.vertices) for f in factors]
     assert sorted(v for b in blocks for v in b) == list(complex.vertices)
-    rebuilt = reduce(SimplicialComplex.join, factors, SimplicialComplex([], []))
+    rebuilt = reduce(join, factors, SimplicialComplex([], []))
     assert rebuilt == complex
     for factor in factors:
         assert _join_factors(factor) == [factor]
@@ -164,7 +164,7 @@ def _random_join_pairs(seed: int) -> list:
 )
 def test_tensor_window_of_factors_is_the_window_of_the_join(first, second):
     # k[K * L] = k[K] (x) k[L]: one product serves both
-    joined = first.join(second)
+    joined = join(first, second)
     for field in FIELDS:
         tensor = TensorWindow(
             local_cohomology_window(first, field), local_cohomology_window(second, field)

@@ -14,13 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradealg import cli
-from gradealg.cli import _HANDLERS, _build_parser, _parse_args, _read_argv, main
+from gradealg.cli import _COMMANDS, _build_parser, _parse_args, _read_argv, main
 from tests.subparser_oracle import _build_parser as oracle_parser
 
 FIELDS = ("command", "input", "field", "window", "json", "allow_linear", "module")
 
 VALID = [
-    *[[command, "--input", "p.json"] for command in _HANDLERS],
+    *[[command, "--input", "p.json"] for command in _COMMANDS],
     ["check-iso", "--input", "p.json", "--allow-linear", "--json", "out.json"],
     ["check-iso", "--input=p.json", "--field=GF(3)", "--json=out.json"],
     ["presentation", "--field", "Q", "--input", "p.json"],
@@ -74,7 +74,7 @@ def test_help_exits_zero_and_names_every_command(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert out.startswith("usage: gradealg ")
-    for command in _HANDLERS:
+    for command in _COMMANDS:
         assert f"\n  {command} " in out
     assert "--module {A,R}" in out
 
@@ -96,7 +96,7 @@ PLAIN_PIECES = st.one_of(
 # and the pieces the reader leaves to argparse, or that make a usage error
 PIECES = st.one_of(
     PLAIN_PIECES,
-    st.sampled_from([[name] for name in _HANDLERS]),
+    st.sampled_from([[name] for name in _COMMANDS]),
     st.builds(lambda o, v: [o, v], st.sampled_from(ABBREVIATIONS), OPTION_VALUES),
     st.builds(lambda o, v: [f"{o}={v}"], st.sampled_from(ABBREVIATIONS), OPTION_VALUES),
     st.sampled_from([["--allow-linear=1"], ["--"], ["-h"], ["--help"]]),
@@ -107,7 +107,7 @@ PIECES = st.one_of(
 ARGVS = st.one_of(
     st.lists(PIECES, max_size=6),
     st.tuples(
-        st.sampled_from(list(_HANDLERS)),
+        st.sampled_from(list(_COMMANDS)),
         st.sampled_from(VALUES),
         st.lists(PLAIN_PIECES, max_size=3),
         st.lists(PIECES, max_size=1),

@@ -28,7 +28,7 @@ from tests import convolution_oracle as oracle
 from tests.cech_oracle import local_cohomology_dim
 from tests.direct_profile import adic_a_invariant
 from tests.enumeration_oracles import krull_dim
-from tests.test_simplicial import RP2_FACETS, random_complex
+from tests.test_simplicial import RP2_FACETS, join, random_complex
 
 TWO_POINTS = SimplicialComplex(range(2), [(0,), (1,)])
 EDGE = SimplicialComplex(range(2), [(0, 1)])
@@ -82,12 +82,12 @@ def test_from_split_accepts_exactly_the_joins_of_the_restrictions():
         n = rng.randint(1, 7)
         k = rng.randint(1, n - 1) if n > 1 and rng.random() < 0.5 else 0
         if k:
-            complex = random_complex(rng, range(k)).join(random_complex(rng, range(k, n)))
+            complex = join(random_complex(rng, range(k)), random_complex(rng, range(k, n)))
         else:
             complex = random_complex(rng, range(n))
         b = range(k) if k and rng.random() < 0.5 else [v for v in range(n) if rng.random() < 0.5]
         c = set(range(n)).difference(b)
-        joins = restrict_complex(complex, b).join(restrict_complex(complex, c)) == complex
+        joins = join(restrict_complex(complex, b), restrict_complex(complex, c)) == complex
         try:
             SplitSRData.from_split(complex, b)
         except ValueError as exc:
@@ -172,7 +172,7 @@ def test_flags_agree_with_dimensions_on_random_splits():
     splits = []
     for _ in range(40):
         nb, nc = rng.randint(1, 4), rng.randint(1, 4)
-        complex = random_complex(rng, range(nb)).join(random_complex(rng, range(nb, nb + nc)))
+        complex = join(random_complex(rng, range(nb)), random_complex(rng, range(nb, nb + nc)))
         splits.append(SplitSRData.from_split(complex, range(nb)))
     # over GF(2), H^2 of k[RP2] is nonzero of finite length, and so are
     # H^3 of its band and of the assembly
@@ -246,7 +246,7 @@ def test_profile_windows_match_convolution_oracle():
         nb, nc = rng.randint(1, 4), rng.randint(0, 3)
         complex = random_complex(rng, range(nb))
         if nc:
-            complex = complex.join(random_complex(rng, range(nb, nb + nc)))
+            complex = join(complex, random_complex(rng, range(nb, nb + nc)))
         splits.append(SplitSRData.from_split(complex, range(nb)))
     for data in splits:
         n = len(data.complex.vertices)
@@ -325,7 +325,7 @@ def test_a_adic_matches_face_weighted_oracle_on_random_splits():
     fields = (QQ, GF(2), GF(3))
     for k in range(300):
         nb, nc = rng.randint(1, 4), rng.randint(1, 4)
-        complex = random_complex(rng, range(nb)).join(random_complex(rng, range(nb, nb + nc)))
+        complex = join(random_complex(rng, range(nb)), random_complex(rng, range(nb, nb + nc)))
         # every fifth split puts all vertices in B, leaving C empty
         data = SplitSRData.from_split(complex, complex.vertices if k % 5 == 0 else range(nb))
         field = fields[k % 3]
