@@ -65,13 +65,11 @@ class ReesPresentation(NamedTuple):
     """A presentation ring k[X-vars, Y-vars] with its defining ideal."""
 
     ring: PolyRing
-    base_ring: PolyRing
     x_names: tuple
     y_names: tuple
     y_degrees: tuple
     f: tuple
     defining: Ideal
-    target: str  # "rees" or "assoc_graded"
 
     def monomial_bidegree(self, mon) -> tuple:
         """(weight, internal degree) of a presentation-ring monomial."""
@@ -128,13 +126,11 @@ def _rees_presentation(J: Ideal, f: tuple) -> ReesPresentation:
 
     return ReesPresentation(
         ring=xy,
-        base_ring=S,
         x_names=S.variables,
         y_names=ys,
         y_degrees=tuple(g.total_degree() for g in f),
         f=f,
         defining=defining,
-        target="rees",
     )
 
 
@@ -194,13 +190,11 @@ def _assoc_graded(J: Ideal, f: tuple) -> ReesPresentation:
     forms.sort(key=lambda form: GREVLEX.desc_key(form[0]))
     return ReesPresentation(
         ring=xy,
-        base_ring=J.ring,
         x_names=J.ring.variables,
         y_names=ys,
         y_degrees=tuple(g.total_degree() for g in f),
         f=f,
         defining=Ideal(xy, [g for _, g in forms]),
-        target="assoc_graded",
     )
 
 

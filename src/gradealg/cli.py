@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+import warnings
 from functools import cached_property
 from pathlib import Path
 from types import SimpleNamespace
@@ -202,7 +203,12 @@ def _names(ring: PolyRing, indices) -> list:
 
 
 def _cmd_check_iso(problem: _Problem, spec: dict, args) -> tuple:
-    decision = decide_iso(problem.J, problem.i_polys, args.allow_linear)
+    if args.allow_linear:  # decide_iso warns of degree-1 generators of J: one stderr line
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            decision = decide_iso(problem.J, problem.i_polys, True)
+    else:
+        decision = decide_iso(problem.J, problem.i_polys, False)
     report = {
         "isomorphic": decision.isomorphic,
         "verified": False,
@@ -286,7 +292,7 @@ def _cmd_cohomology(problem: _Problem, spec: dict, args) -> tuple:
     else:
         data = SplitSRData.from_split(complex, _variable_basis(problem, complex))
         window = assemble_rees_cohomology(data, field)
-        verdict = _cm_rees(data, field, inv, sr_invariants(data.factor_b, field))
+        verdict = _cm_rees(data, inv, sr_invariants(data.factor_b, field))
         dim_r, adic, cm_r = verdict.dim_rees, verdict.a_adic, verdict.cm_rees
     table = window_table(window, lo, hi)
     report = {
@@ -304,10 +310,7 @@ def _cmd_cohomology(problem: _Problem, spec: dict, args) -> tuple:
         cells = [f"{j} -> {v}" for j, v in row.items()]
         lines.append(f"H^{i}: " + ("; ".join(cells) if cells else "0 on window"))
     if args.module == "A":
-        lines.append(
-            "dim_A = {dim_A}, depth_A = {depth_A}, a_invariant = {a_invariant}, "
-            "cm = {cm}, gencm = {gencm}".format(**invariants)
-        )
+        lines.append(", ".join(f"{key} = {value}" for key, value in invariants.items()))
     else:
         lines.append(f"dim_R = {dim_r}, adic_a_invariant = {adic}, cm_R = {str(cm_r).lower()}")
     return report, lines, 0
@@ -322,14 +325,9 @@ def _cmd_gencm(problem: _Problem, spec: dict, args) -> tuple:
     window_a = local_cohomology_window(complex, field)
     window_r = assemble_rees_cohomology(data, field)
     report = {
-        "gencm": verdict.gencm,
-        "case": verdict.case,
-        "dim_R": verdict.dim_R,
-        "cm_R": verdict.cm_R,
-        "precondition_A_gencm": verdict.precondition_A_gencm,
+        **verdict._asdict(),
         "B": _names(problem.ring, data.b),
         "C": _names(problem.ring, data.c),
-        "evidence": dict(verdict.evidence),
         "windows": {
             "window": [lo, hi],
             "A": _window_entries(window_table(window_a, lo, hi)),
@@ -357,7 +355,7 @@ def _cmd_dim(problem: _Problem, spec: dict, args) -> tuple:
         "depth_A": inv.depth,
         "a_invariant": inv.a_invariant,
     }
-    lines = [f"{key} = {report[key]}" for key in ("dim_A", "dim_R", "depth_A", "a_invariant")]
+    lines = [f"{key} = {value}" for key, value in report.items()]
     return report, lines, 0
 
 

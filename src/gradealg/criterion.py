@@ -61,7 +61,6 @@ class IsoDecision(NamedTuple):
     isomorphic: bool
     witness: Optional[SplitWitness]
     failure_reason: Optional[str]  # "not-variable-generated" | "not-split"
-    verified: bool = False
 
 
 def _as_ideal(J: Ideal, i_gens) -> Ideal:

@@ -16,8 +16,8 @@ class AmbientMismatch(ValueError):
 
 class LimitExceeded(RuntimeError):
     """A configured budget was exceeded: ``POWER_BOUND``, ``VERTEX_BOUND``,
-    the level/degree bounds of a Rees presentation, ``MAX_STANDARD_MONOMIALS``
-    or ``MAX_REDUCTION_WORK``."""
+    the level/degree bounds of a Rees presentation, ``MAX_STANDARD_MONOMIALS``,
+    ``MAX_REDUCTION_WORK``, or Python's int to str limit on a printed coefficient."""
 
 
 class InternalError(RuntimeError):

@@ -736,9 +736,6 @@ def elimination_ideal(ideal: Ideal, keep: Sequence[int]) -> Ideal:
     if any(i < 0 or i >= ring.nvars for i in keep):
         raise ValueError("keep indices outside the ring")
     front = [i for i in range(ring.nvars) if i not in set(keep)]
-    if not front:
-        gb = groebner_basis(ideal)
-        return Ideal(ring, list(gb))
     order = elimination_order(front, ring.nvars)
     gb = groebner_basis(ideal, order)
     kept = [

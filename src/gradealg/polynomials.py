@@ -28,7 +28,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import AmbientMismatch, ParseError
+from .errors import AmbientMismatch, LimitExceeded, ParseError
 from .fields import PrimeField, RationalField
 
 Monomial = tuple
@@ -360,12 +360,15 @@ class Polynomial:
             )
             negative = c < 0  # never over GF(p)
             mag = -c if negative else c
-            if not mono:
-                body = str(mag)
-            elif mag == self.ring.field.one:
+            if mono and mag == self.ring.field.one:
                 body = mono
             else:
-                body = f"{mag}*{mono}"
+                try:
+                    body = str(mag)
+                except ValueError:  # past sys.get_int_max_str_digits(), 4300 by default
+                    raise LimitExceeded("a coefficient has more digits than str() allows") from None
+                if mono:
+                    body = f"{body}*{mono}"
             if not pieces:
                 pieces.append(f"-{body}" if negative else body)
             else:
@@ -486,7 +489,10 @@ def _parse(text: str, ring: PolyRing) -> Polynomial:
     if not text.strip():
         raise ParseError("empty expression")
     parser = _Parser(_tokenize(text), ring)
-    poly = parser.expr()
+    try:
+        poly = parser.expr()
+    except RecursionError:  # four frames per parenthesis
+        raise ParseError("parentheses nested too deeply") from None
     if parser.peek() != "end":
         raise ParseError(f"trailing input: {parser.tokens[parser.i][1]!r}")
     return poly

@@ -164,32 +164,22 @@ class CMReesVerdict(NamedTuple):
     """Cohen-Macaulayness of the Rees ring, with the invariants that decide it."""
 
     cm_rees: bool
-    cm_base: bool
     a_adic: Optional[int]
-    a_standard: Optional[int]
-    dim_base: int
     dim_rees: int
-    field_name: str
 
 
 def decide_cm_rees(data: SplitSRData, field) -> CMReesVerdict:
     """R is CM exactly when A is CM and a(A1) < 0; ``a_adic`` is a(A1)."""
-    return _cm_rees(
-        data, field, sr_invariants(data.complex, field), sr_invariants(data.factor_b, field)
-    )
+    return _cm_rees(data, sr_invariants(data.complex, field), sr_invariants(data.factor_b, field))
 
 
-def _cm_rees(data: SplitSRData, field, inv: SRInvariants, inv1: SRInvariants) -> CMReesVerdict:
+def _cm_rees(data: SplitSRData, inv: SRInvariants, inv1: SRInvariants) -> CMReesVerdict:
     """``decide_cm_rees`` from the invariants of A (inv) and of A1 (inv1)."""
     a_adic = inv1.a_invariant
     return CMReesVerdict(
         cm_rees=inv.cm and a_adic is not None and a_adic < 0,
-        cm_base=inv.cm,
         a_adic=a_adic,
-        a_standard=inv.a_invariant,
-        dim_base=inv.dim,
         dim_rees=dim_rees(data.complex, data.b),
-        field_name=field.name,
     )
 
 
@@ -227,7 +217,8 @@ def decide_gencm(data: SplitSRData, field) -> GenCMVerdict:
     inv1 = sr_invariants(data.factor_b, field)
     inv2 = sr_invariants(data.factor_c, field)
     d1, d2 = inv1.dim, inv2.dim
-    d_rees = dim_rees(data.complex, data.b)
+    rees_cm = _cm_rees(data, inv_a, inv1)
+    d_rees, cm = rees_cm.dim_rees, rees_cm.cm_rees
     precondition = inv_a.gencm
 
     # every top facet misses B exactly when R has the dimension of A
@@ -270,7 +261,6 @@ def decide_gencm(data: SplitSRData, field) -> GenCMVerdict:
             f"case={case} verdict={verdict} direct={direct}"
         )
 
-    cm = _cm_rees(data, field, inv_a, inv1).cm_rees
     if cm and not verdict:
         raise InternalError("Cohen-Macaulay verdict without generalized CM")
     return GenCMVerdict(

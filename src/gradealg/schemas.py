@@ -60,33 +60,38 @@ _ENTRIES = {
     },
 }
 
+
+def _closed(properties: dict) -> dict:
+    """An object that requires every property it lists and allows no other."""
+    return {
+        "type": "object",
+        "properties": properties,
+        "required": list(properties),
+        "additionalProperties": False,
+    }
+
+
 _FLAGS = {
     "type": "array",
-    "items": {
-        "type": "object",
-        "properties": {
+    "items": _closed(
+        {
             "index": {"type": "integer"},
             "is_zero": {"type": "boolean"},
             "finite_length": {"type": "boolean"},
             "vanishes_below_minus_one": {"type": "boolean"},
-        },
-        "required": ["index", "is_zero", "finite_length", "vanishes_below_minus_one"],
-        "additionalProperties": False,
-    },
+        }
+    ),
 }
 
-_SR_INVARIANTS = {
-    "type": "object",
-    "properties": {
+_SR_INVARIANTS = _closed(
+    {
         "dim_A": {"type": "integer"},
         "depth_A": {"type": "integer"},
         "a_invariant": {"type": "integer"},
         "cm": {"type": "boolean"},
         "gencm": {"type": "boolean"},
-    },
-    "required": ["dim_A", "depth_A", "a_invariant", "cm", "gencm"],
-    "additionalProperties": False,
-}
+    }
+)
 
 INPUT_SCHEMA = {
     "$schema": _SCHEMA_DIALECT,
@@ -129,39 +134,27 @@ def _envelope(command: str, payload: dict) -> dict:
         "variables": _VARIABLES,
     }
     properties.update(payload)
-    return {
-        "$schema": _SCHEMA_DIALECT,
-        "title": f"gradealg {command} report",
-        "type": "object",
-        "properties": properties,
-        "required": list(properties),
-        "additionalProperties": False,
-    }
+    title = f"gradealg {command} report"
+    return {"$schema": _SCHEMA_DIALECT, "title": title, **_closed(properties)}
 
 
-_PRESENTATION_BLOCK = {
-    "type": "object",
-    "properties": {
+_PRESENTATION_BLOCK = _closed(
+    {
         "x_variables": _STRING_LIST,
         "y_variables": _STRING_LIST,
         "y_degrees": {"type": "array", "items": {"type": "integer", "minimum": 1}},
         "generators": {
             "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
+            "items": _closed(
+                {
                     "poly": {"type": "string"},
                     "y_weight": {"type": "integer", "minimum": 0},
                     "internal_degree": {"type": "integer", "minimum": 0},
-                },
-                "required": ["poly", "y_weight", "internal_degree"],
-                "additionalProperties": False,
-            },
+                }
+            ),
         },
-    },
-    "required": ["x_variables", "y_variables", "y_degrees", "generators"],
-    "additionalProperties": False,
-}
+    }
+)
 
 OUTPUT_SCHEMAS = {
     "check-iso": _envelope(
@@ -244,16 +237,7 @@ OUTPUT_SCHEMAS = {
                 ],
                 "additionalProperties": False,
             },
-            "windows": {
-                "type": "object",
-                "properties": {
-                    "window": _WINDOW,
-                    "A": _ENTRIES,
-                    "R": _ENTRIES,
-                },
-                "required": ["window", "A", "R"],
-                "additionalProperties": False,
-            },
+            "windows": _closed({"window": _WINDOW, "A": _ENTRIES, "R": _ENTRIES}),
         },
     ),
     "dim": _envelope(

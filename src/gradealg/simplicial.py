@@ -430,7 +430,6 @@ class SRInvariants(NamedTuple):
     a_invariant: Optional[int]  # None would mean vanishing top cohomology
     cm: bool
     gencm: bool
-    field_name: str
 
 
 def sr_invariants(complex: SimplicialComplex, field) -> SRInvariants:
@@ -449,6 +448,5 @@ def sr_invariants(complex: SimplicialComplex, field) -> SRInvariants:
         a_invariant=a_inv,
         cm=depth == d,
         gencm=gencm,
-        field_name=field.name,
     )
 

@@ -21,7 +21,7 @@ def assoc_graded_from_rees(rees: ReesPresentation) -> ReesPresentation:
     xy = rees.ring
     gens = list(rees.defining.generators) + [g.rename_into(xy) for g in rees.f]
     defining = Ideal(xy, list(groebner_basis(Ideal(xy, gens))))
-    return rees._replace(defining=defining, target="assoc_graded")
+    return rees._replace(defining=defining)
 
 
 def slow_assoc_graded(J: Ideal, f) -> list:

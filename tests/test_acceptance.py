@@ -89,20 +89,20 @@ def test_criterion_01_maximal_ideal_isomorphisms(tmp_path):
 
 def test_criterion_02_decision_fixtures():
     ring, J, I = CORPUS[0]
-    d = decide_and_verify(J, I)
-    assert d.isomorphic and d.verified
+    d, verified = decide_and_verify(J, I)
+    assert d.isomorphic and verified
     pres = assoc_graded_presentation(J, I)
     certificate = Ideal.parse(pres.ring, ["x1", "x2", "Y1*Y2", "x3^2"])
     assert ideal_equal(pres.defining, certificate)
 
     ring, J, I = CORPUS[1]
-    d = decide_and_verify(J, I)
+    d, _ = decide_and_verify(J, I)
     assert not d.isomorphic
     assert d.failure_reason == "not-split"
 
     ring, J, I = CORPUS[2]
-    d = decide_and_verify(J, I)
-    assert d.isomorphic and d.verified
+    d, verified = decide_and_verify(J, I)
+    assert d.isomorphic and verified
     pres = assoc_graded_presentation(J, I)
     assert ideal_equal(pres.defining, Ideal.parse(pres.ring, ["x1", "Y1^3"]))
 

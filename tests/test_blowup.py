@@ -41,7 +41,6 @@ def test_koszul_rees():
     pres = rees_presentation(J, f)
     assert gens(pres) == ["x2*Y1 - x1*Y2"]
     assert pres.y_degrees == (1, 1)
-    assert pres.target == "rees"
 
 
 def test_maximal_ideal_assoc_kernel():
@@ -413,10 +412,10 @@ def test_certificate_verifies_on_the_weighted_draws(field):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                decision = decide_and_verify(J, f, allow_linear=True)
+                decision, ok = decide_and_verify(J, f, allow_linear=True)
         except ValueError:
             continue  # an input the decision refuses
         if decision.isomorphic:
-            assert decision.verified, (J, f)
+            assert ok, (J, f)
             verified += 1
     assert verified >= 5

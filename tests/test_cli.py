@@ -264,18 +264,24 @@ def test_allow_linear_flag(tmp_path, capsys):
     path.write_text(json.dumps(spec))
     assert main(["check-iso", "--input", str(path)]) == 1
     assert "linear" in capsys.readouterr().err.lower()
-    with pytest.warns(UserWarning):
-        assert main(["check-iso", "--input", str(path), "--allow-linear"]) == 0
+    assert main(["check-iso", "--input", str(path), "--allow-linear"]) == 0
+    assert capsys.readouterr().err == _linear_warning("x1 - x2")
 
 
-def test_allow_linear_certifies_a_variable_of_b_in_j(tmp_path):
+def _linear_warning(generators: str) -> str:
+    # one line, the same from every checkout: no path and no source line
+    return (
+        f"warning: J has degree-1 generators ({generators}); the variable count is "
+        "not reduced automatically and the canonical B may lose uniqueness\n"
+    )
+
+
+def test_allow_linear_certifies_a_variable_of_b_in_j(tmp_path, capsys):
     # x3 lies in J and in B: the certificate must not refuse it as degenerate
-    spec = {"field": "Q", "variables": ["x1", "x2", "x3"], "J": ["x3", "x2^2"],
-            "I": ["x1"]}
     out = tmp_path / "r.json"
-    with pytest.warns(UserWarning):
-        assert main(["check-iso", "--input", _write_spec(tmp_path, spec),
-                     "--allow-linear", "--json", str(out)]) == 0
+    assert main(["check-iso", "--input", str(DATA / "linear.json"),
+                 "--allow-linear", "--json", str(out)]) == 0
+    assert capsys.readouterr().err == _linear_warning("x3")
     report = json.loads(out.read_text())
     assert report["isomorphic"] and report["verified"]
     assert report["B"] == ["x1", "x3"]
@@ -499,6 +505,38 @@ def test_failed_self_check_is_an_internal_error(monkeypatch, capsys):
     assert main(["gencm", "--input", str(DATA / "path.json")]) == 4
     err = capsys.readouterr().err
     assert err == "internal error: Cohen-Macaulay verdict without generalized CM\n"
+
+
+def test_unverified_certificate_is_reported_not_refused(tmp_path, monkeypatch, capsys):
+    # a positive decision whose certificate fails to divide: the request
+    # still exits 0, prints the kernel, and says verified: false in stdout
+    # and in the report, which otherwise match the golden run's
+    from gradealg import criterion
+
+    monkeypatch.setattr(criterion, "_divides", lambda divisors, ideal: False)
+    out = tmp_path / "r.json"
+    assert main(["check-iso", "--input", str(DATA / "split.json"), "--json", str(out)]) == 0
+    stdout = (GOLDEN / "check_iso_split.stdout").read_text()
+    assert "verified: true\n" in stdout and "\nkernel: " in stdout
+    assert capsys.readouterr().out == stdout.replace("verified: true", "verified: false")
+    report = json.loads((GOLDEN / "check_iso_split.json").read_text())
+    assert json.loads(out.read_text()) == {**report, "verified": False}
+
+
+def test_deeply_nested_parentheses_are_a_parse_error(capsys):
+    # 1000 levels of parentheses in I: past the recursion limit of the parser
+    assert main(["dim", "--input", str(DATA / "deep_parens.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: parentheses nested too deeply\n"
+
+
+def test_coefficient_too_long_to_print_exceeds_a_limit(tmp_path, capsys):
+    # valid input; a report coefficient, 2^20000, has past 4300 decimal digits
+    spec = {"variables": ["x1", "x2"], "J": ["x1*x2"], "I": ["x1 + 2^20000*x2"]}
+    assert main(["presentation", "--input", _write_spec(tmp_path, spec)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: a coefficient has more digits than str() allows\n"
 
 
 def test_report_failing_its_schema_is_an_internal_error(monkeypatch, capsys):

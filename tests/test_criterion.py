@@ -6,7 +6,6 @@ import pytest
 
 from gradealg.blowup import assoc_graded_presentation, presentation_bigraded_hilbert
 from gradealg.criterion import (
-    IsoDecision,
     _verify_iso_witness,
     decide_iso,
     split_check,
@@ -21,14 +20,11 @@ from tests.test_groebner import ideal_equal
 from tests.test_polynomials import random_poly
 
 
-def decide_and_verify(J: Ideal, i_gens, allow_linear: bool = False) -> IsoDecision:
-    """decide_iso plus the constructive certificate on positive answers."""
+def decide_and_verify(J: Ideal, i_gens, allow_linear: bool = False) -> tuple:
+    """decide_iso and whether the constructive certificate holds:
+    ``(decision, verified)``, with ``verified`` false on a negative answer."""
     decision = decide_iso(J, i_gens, allow_linear)
-    if not decision.isomorphic:
-        return decision
-    return IsoDecision(
-        True, decision.witness, None, verified=verify_iso_witness(J, decision.witness)
-    )
+    return decision, decision.isomorphic and verify_iso_witness(J, decision.witness)
 
 
 def setup(names, j_texts, i_texts, field=QQ):
@@ -40,8 +36,8 @@ def setup(names, j_texts, i_texts, field=QQ):
 
 def test_positive_fixture():
     R, J, f = setup("x1,x2,x3", ["x1*x2", "x3^2"], ["x1", "x2"])
-    d = decide_and_verify(J, f)
-    assert d.isomorphic and d.verified
+    d, verified = decide_and_verify(J, f)
+    assert d.isomorphic and verified
     assert d.witness.b == (0, 1)
     assert d.witness.c == (2,)
     assert [str(g) for g in d.witness.jb.generators] == ["x1*x2"]
@@ -74,8 +70,8 @@ def test_not_split_does_not_certify_a_negative():
 
 def test_principal_power_fixture():
     R, J, f = setup("x1,x2", ["x1^3"], ["x1"])
-    d = decide_and_verify(J, f)
-    assert d.isomorphic and d.verified
+    d, verified = decide_and_verify(J, f)
+    assert d.isomorphic and verified
     pres = assoc_graded_presentation(J, f)
     expected = Ideal.parse(pres.ring, ["x1", "Y1^3"])
     assert ideal_equal(pres.defining, expected)
@@ -101,8 +97,8 @@ def test_variable_generated_after_reduction_is_verified():
     # x2 lies in J and in B; the certificate is built without rejecting it
     R, J, f = setup("x1,x2", ["x2"], ["x1 + x2"])
     with pytest.warns(UserWarning):
-        d = decide_and_verify(J, f, allow_linear=True)
-    assert d.isomorphic and d.verified
+        d, verified = decide_and_verify(J, f, allow_linear=True)
+    assert d.isomorphic and verified
     assert d.witness.b == (0, 1)
 
 
@@ -162,8 +158,8 @@ def test_maximal_ideal_always_isomorphic():
                 mon[rng.randrange(nvars)] += 1
             gens.add(tuple(mon))
         J = Ideal(R, [R.monomial(m) for m in gens])
-        d = decide_and_verify(J, [R.var(i) for i in range(nvars)])
-        assert d.isomorphic and d.verified
+        d, verified = decide_and_verify(J, [R.var(i) for i in range(nvars)])
+        assert d.isomorphic and verified
         assert d.witness.b == tuple(range(nvars))
         assert d.witness.jc.generators == ()
 
@@ -177,8 +173,8 @@ def test_permutation_invariance():
         names = tuple(base_names[p] for p in perm)
         R = PolyRing(names, QQ)
         J = Ideal.parse(R, ["x1*x2", "x3^2"])
-        d = decide_and_verify(J, [R.parse("x1"), R.parse("x2")])
-        assert d.isomorphic and d.verified
+        d, verified = decide_and_verify(J, [R.parse("x1"), R.parse("x2")])
+        assert d.isomorphic and verified
         b_names = {R.variables[i] for i in d.witness.b}
         assert b_names == {"x1", "x2"}
 
@@ -186,8 +182,8 @@ def test_permutation_invariance():
 def test_witness_kernel_matches_hilbert():
     # the certified kernel presents a ring with the bigraded dimensions of G
     R, J, f = setup("x1,x2,x3", ["x1*x2", "x3^2"], ["x1", "x2"])
-    d = decide_and_verify(J, f)
-    assert d.verified
+    _, verified = decide_and_verify(J, f)
+    assert verified
     pres = assoc_graded_presentation(J, f)
     upstairs = presentation_bigraded_hilbert(pres, 5, 5)
     downstairs = downstairs_bigraded_hilbert(J, f, 5, 5)
@@ -237,16 +233,16 @@ def test_verify_rejects_a_tampered_monomial_witness():
 
 def test_gf_field_decision():
     R, J, f = setup("x1,x2,x3", ["x1*x2", "x3^2"], ["x1", "x2"], field=GF(7))
-    d = decide_and_verify(J, f)
-    assert d.isomorphic and d.verified
+    d, verified = decide_and_verify(J, f)
+    assert d.isomorphic and verified
 
 
 def test_three_blocks_split():
     R, J, f = setup(
         "x1,x2,x3,x4", ["x1^2*x2", "x3*x4^2", "x3^3"], ["x3", "x4"]
     )
-    d = decide_and_verify(J, f)
-    assert d.isomorphic and d.verified
+    d, verified = decide_and_verify(J, f)
+    assert d.isomorphic and verified
     assert d.witness.b == (2, 3)
 
 
@@ -431,5 +427,5 @@ def test_certificate_runs_no_buchberger_of_its_own(monkeypatch, field):
     needed = len(runs)
     groebner._cached_gb.cache_clear()
     runs.clear()
-    assert decide_and_verify(J, f).verified
+    assert decide_and_verify(J, f)[1]
     assert len(runs) == needed

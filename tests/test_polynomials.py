@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradealg.errors import AmbientMismatch, ParseError
+from gradealg.errors import AmbientMismatch, LimitExceeded, ParseError
 from gradealg.fields import GF, QQ
 from gradealg.polynomials import (
     GREVLEX,
@@ -46,12 +46,29 @@ def test_parse_rejects_garbage():
             R.parse(bad)
 
 
+def test_parse_nesting_past_the_recursion_limit():
+    R = ring()
+    assert R.parse("(" * 50 + "x" + ")" * 50) == R.parse("x")
+    with pytest.raises(ParseError, match="nested too deeply"):
+        R.parse("(" * 1000 + "x" + ")" * 1000)
+
+
 def test_parse_gf_denominator():
     F = GF(5)
     R = ring(field=F)
     assert R.parse("1/2") == R.constant(3)
     with pytest.raises(ParseError):
         R.parse("1/5")
+
+
+def test_print_a_coefficient_past_the_digit_limit():
+    # Python converts an int of more than 4300 decimal digits to no string
+    R = ring()
+    for text in ("2^20000*x + y", "(1/2)^20000*x", "-(3^10000)"):
+        p = R.parse(text)
+        with pytest.raises(LimitExceeded):
+            str(p)
+    assert str(R.parse("2^1000*x")) == f"{2**1000}*x"
 
 
 def test_print_canonical():

@@ -29,7 +29,7 @@ def _decision():
 RECORDS = [
     (
         lambda: sr_invariants(PATH, QQ),
-        "SRInvariants(dim=2, depth=2, a_invariant=-1, cm=True, gencm=True, field_name='Q')",
+        "SRInvariants(dim=2, depth=2, a_invariant=-1, cm=True, gencm=True)",
         True,
     ),
     (
@@ -40,8 +40,7 @@ RECORDS = [
     ),
     (
         lambda: decide_cm_rees(SPLIT, QQ),
-        "CMReesVerdict(cm_rees=True, cm_base=True, a_adic=-1, a_standard=-1, "
-        "dim_base=2, dim_rees=3, field_name='Q')",
+        "CMReesVerdict(cm_rees=True, a_adic=-1, dim_rees=3)",
         True,
     ),
     (
@@ -64,14 +63,14 @@ RECORDS = [
         _decision,
         "IsoDecision(isomorphic=True, witness=SplitWitness(b=(0, 1), c=(2,), "
         "jb=(x1*x2), jc=(x3^2), sigma={'x1': 'Y1', 'x2': 'Y2'}), "
-        "failure_reason=None, verified=False)",
+        "failure_reason=None)",
         False,
     ),
     (
         lambda: rees_presentation(Ideal.parse(R, ["x1*x2"]), [R.parse("x1")]),
-        "ReesPresentation(ring=Q[x1, x2, x3, Y1], base_ring=Q[x1, x2, x3], "
-        "x_names=('x1', 'x2', 'x3'), y_names=('Y1',), y_degrees=(1,), "
-        "f=(<x1 in Q[x1, x2, x3]>,), defining=(x1*x2, x2*Y1), target='rees')",
+        "ReesPresentation(ring=Q[x1, x2, x3, Y1], x_names=('x1', 'x2', 'x3'), "
+        "y_names=('Y1',), y_degrees=(1,), f=(<x1 in Q[x1, x2, x3]>,), "
+        "defining=(x1*x2, x2*Y1))",
         True,
     ),
     (

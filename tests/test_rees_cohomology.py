@@ -22,6 +22,7 @@ from gradealg import (
     local_cohomology_window,
     rees_presentation,
     restrict_complex,
+    sr_invariants,
     window_table,
 )
 from tests import convolution_oracle as oracle
@@ -339,18 +340,18 @@ def test_a_adic_matches_face_weighted_oracle_on_random_splits():
 def test_path_rees_not_cm_despite_cm_base():
     data = SplitSRData.from_split(PATH, (0, 1))
     v = decide_cm_rees(data, QQ)
-    assert v.cm_base
-    assert v.a_standard == -1
+    base = sr_invariants(data.complex, QQ)
+    assert base.cm
+    assert base.a_invariant == -1
     assert v.a_adic == 0
     assert not v.cm_rees
-    assert (v.dim_base, v.dim_rees) == (2, 3)
-    assert v.field_name == "Q"
+    assert (base.dim, v.dim_rees) == (2, 3)
 
 
 def test_edge_rees_is_cm():
     data = SplitSRData.from_split(EDGE, (0,))
     v = decide_cm_rees(data, QQ)
-    assert v.cm_rees and v.cm_base
+    assert v.cm_rees and sr_invariants(data.complex, QQ).cm
     assert v.a_adic == -1
     g = decide_gencm(data, QQ)
     assert g.gencm and g.case == "case3-vanishing"
@@ -397,7 +398,7 @@ def test_cone_over_projective_plane_depends_on_field():
     assert g_q.gencm and g_q.case == "case3-vanishing"
 
     over_2 = decide_cm_rees(data, GF(2))
-    assert not over_2.cm_base and not over_2.cm_rees
+    assert not sr_invariants(data.complex, GF(2)).cm and not over_2.cm_rees
     g_2 = decide_gencm(data, GF(2))
     assert not g_2.gencm and g_2.case == "none"
     assert not g_2.precondition_A_gencm

@@ -1,12 +1,16 @@
 """Every module of the package and of the tests uses every name it imports,
-and every function the package exports is run by a request.
+every function the package exports is run by a request, and every field
+of a package record is read in the package.
 
 The package root is exempt from the first check: its imports are its
 exports. A deleted route that leaves an import behind fails here with the
 module and the name. An exported function must be called somewhere in the
 package outside its own body, or be a span target of ``bench/tracing.py``,
 or be on ``EXPORT_ALLOWLIST`` with its reason; a second route that only the
-tests call belongs in ``tests/`` as an oracle.
+tests call belongs in ``tests/`` as an oracle. A field of a ``NamedTuple`` record must be read in
+the package, as an attribute or through the record's ``_asdict()``, or be
+on ``FIELD_ALLOWLIST`` with its reason; a field that only copies another
+record or the caller's own argument has no reader.
 """
 
 import ast
@@ -136,3 +140,100 @@ def test_a_call_inside_its_own_def_or_on_an_object_does_not_count():
         "x = basis.normal_form(f)\n"
     )
     assert called_names(source) == {"g", "h"}
+
+
+# record fields that nothing in the package reads, "Class.field" -> reason
+FIELD_ALLOWLIST: dict = {}
+
+
+def record_fields(sources: list) -> dict:
+    """``{class: [field, ...]}`` of each ``NamedTuple`` class in ``sources``."""
+    records = {}
+    for source in sources:
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(base) == "NamedTuple" for base in node.bases
+            ):
+                records[node.name] = [
+                    s.target.id for s in node.body if isinstance(s, ast.AnnAssign)
+                ]
+    return records
+
+
+def read_fields(sources: list, records: dict) -> set:
+    """``(class, field)`` pairs read in ``sources``: an attribute loaded by a
+    field's name counts for every record with that field, whatever the object;
+    ``x._asdict()`` reads every field of the record that ``x`` holds, where
+    ``x`` is a call, or a name assigned a call, of a function annotated to
+    return a record."""
+    trees = [ast.parse(source) for source in sources]
+    returns = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.returns is not None:
+                returns[node.name] = ast.unparse(node.returns).strip("'\"")
+
+    def called(node):
+        if isinstance(node, ast.Call):
+            func = node.func
+            return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return None
+
+    loaded, dumped = set(), set()
+    for tree in trees:
+        assigned = {}  # name -> the functions whose result it is assigned
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and called(node.value):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        assigned.setdefault(target.id, set()).add(called(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            if called(node) == "_asdict" and isinstance(node.func, ast.Attribute):
+                holder = node.func.value
+                if isinstance(holder, ast.Name):
+                    funcs = assigned.get(holder.id, set())
+                else:
+                    funcs = {called(holder)}
+                dumped.update(returns[f] for f in funcs if returns.get(f) in records)
+    return {
+        (cls, field)
+        for cls, fields in records.items()
+        for field in fields
+        if field in loaded or cls in dumped
+    }
+
+
+def unread_fields() -> list:
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    records = record_fields(sources)
+    read = read_fields(sources, records)
+    return [
+        f"{cls}.{field}"
+        for cls, fields in records.items()
+        for field in fields
+        if (cls, field) not in read
+    ]
+
+
+def test_every_record_field_is_read_in_the_package():
+    unread = [name for name in unread_fields() if name not in FIELD_ALLOWLIST]
+    assert unread == []
+
+
+def test_field_allowlist_holds_only_unread_fields():
+    assert set(FIELD_ALLOWLIST) <= set(unread_fields())
+
+
+def test_a_field_is_read_by_attribute_or_through_asdict():
+    source = (
+        "class A(NamedTuple):\n    a: int\n    b: int\n"
+        "class B(NamedTuple):\n    c: int\n    d: int\n"
+        "class C(NamedTuple):\n    e: int\n"
+        "def make() -> 'B':\n    return B(1, 2)\n"
+        "def f(x):\n    r = make()\n    x.b = 0\n    return x.a, r._asdict()\n"
+    )
+    records = record_fields([source])
+    assert records == {"A": ["a", "b"], "B": ["c", "d"], "C": ["e"]}
+    assert read_fields([source], records) == {("A", "a"), ("B", "c"), ("B", "d")}
